@@ -74,6 +74,10 @@ logger = logging.getLogger("openbilliards.cli")
 
 CACHE_ENV = "OPENBILLIARDS_CACHE"
 
+# Part of every cache key; bump it when the solve path or the store format
+# changes, so entries written by older code are not reused.
+CACHE_FORMAT = 2
+
 DEFAULT_CONFIG = {
     "geometry": {
         "kind": "reference",
@@ -256,7 +260,7 @@ def get_solution(cfg):
     b = cfg["basis"]
     basis = BasisSpec(m_max=int(b["m_max"]), n_max=int(b["n_max"]))
     k_keep = int(b["k_keep"])
-    key_src = f"{profile.content_hash()}:{basis.m_max}:{basis.n_max}:{k_keep}"
+    key_src = f"v{CACHE_FORMAT}:{profile.content_hash()}:{basis.m_max}:{basis.n_max}:{k_keep}"
     key = hashlib.sha256(key_src.encode()).hexdigest()[:20]
     slot = _cache_dir(cfg) / key
     if cfg["cache"] and (slot / "meta.json").exists():
@@ -412,7 +416,11 @@ def cmd_two_body(cfg) -> int:
     )
     solution = get_solution(cfg)
     states = list(range(int(tb["states"])))
-    energies = interaction_block(solution, states, spec)
+    try:
+        energies = interaction_block(solution, states, spec)
+    except ArithmeticError as err:  # the quadrature order check failed
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     out = _outdir(cfg) / "pair_energies.csv"
     write_pair_energies_csv(
         out,

@@ -1,8 +1,9 @@
 """Session-scoped fixtures for the expensive reference eigensolutions.
 
 Each production-truncation solve (90x50 basis, 3000 retained pairs) takes
-about 15 s on one core, so the three geometry variants are built lazily and
-shared across every test that asks for them.
+about 5 s on one core for the mirror-symmetric reference cavity and about
+17 s for the asymmetric variants, so the three geometry variants are built
+lazily and shared across every test that asks for them.
 """
 
 import numpy as np

@@ -13,8 +13,11 @@ import pytest
 from openbilliards.cavity import (
     BasisSpec,
     CavitySolution,
+    _axial_tables,
+    _parity_leak,
     assemble_hamiltonian,
     axial_norms,
+    build_v_tables,
     eval_wavefunction,
     load_solution,
     save_solution,
@@ -22,6 +25,7 @@ from openbilliards.cavity import (
 )
 from openbilliards.geometry import (
     apply_surface_disorder,
+    apply_wiggle,
     make_rectangle,
     make_reference_cavity,
 )
@@ -138,12 +142,102 @@ def test_assembly_matches_gauss_legendre(case):
     assert np.max(np.abs(fast - oracle)) / scale < 1e-8
 
 
-def test_midpoint_and_trapezoid_assembly_agree():
-    profile = make_reference_cavity(samples=2048)
-    basis = BasisSpec(m_max=8, n_max=6)
-    a = assemble_hamiltonian(profile, basis, kind="midpoint")
-    b = assemble_hamiltonian(profile, basis, kind="trapezoid")
-    assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-5
+def assemble_by_kron(profile, basis):
+    """The Kronecker-sum form of the assembly, kept as a reference."""
+    ax = _axial_tables(profile, basis.m_max)
+    vt = build_v_tables(basis.n_max)
+    ham = np.kron(np.eye(basis.n_max), ax["kinetic"])
+    ham += 2.0 * (
+        np.kron(vt.shear_0, ax["shear_lo"])
+        + np.kron(vt.shear_0.T, ax["shear_lo"].T)
+        + np.kron(vt.shear_1, ax["shear_w"])
+        + np.kron(vt.shear_1.T, ax["shear_w"].T)
+    )
+    ham += 2.0 * (
+        np.kron(vt.stretch_0, ax["stretch_0"])
+        + np.kron(vt.stretch_1, ax["stretch_1"])
+        + np.kron(vt.stretch_2, ax["stretch_2"])
+    )
+    return 0.5 * (ham + ham.T)
+
+
+def parity_modes(basis, parity):
+    """Flat indices of the axial modes m = parity (mod 2)."""
+    return np.arange(basis.size).reshape(basis.n_max, basis.m_max)[:, parity::2].ravel()
+
+
+def make_case(case):
+    """The mirror-symmetric reference cavity, or one of two asymmetric variants."""
+    profile = make_reference_cavity(samples=1024)
+    if case == "disordered":
+        return apply_surface_disorder(profile, roughness=0.05, pieces=12, seed=11)
+    if case == "wiggled":
+        return apply_wiggle(profile)
+    return profile
+
+
+@pytest.mark.parametrize("case", ["reference", "disordered"])
+def test_assembly_matches_kron_sum(case):
+    profile = make_case(case)
+    basis = BasisSpec(m_max=13, n_max=7)
+    ham = assemble_hamiltonian(profile, basis)
+    ref = assemble_by_kron(profile, basis)
+    assert np.max(np.abs(ham - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["reference", "disordered", "wiggled"])
+def test_parity_blocks_are_slices_of_full_matrix(case):
+    profile = make_case(case)
+    basis = BasisSpec(m_max=11, n_max=6)
+    full = assemble_hamiltonian(profile, basis)
+    for parity in (0, 1):
+        idx = parity_modes(basis, parity)
+        block = assemble_hamiltonian(profile, basis, parity=parity)
+        assert np.array_equal(block, full[np.ix_(idx, idx)])
+    with pytest.raises(ValueError):
+        assemble_hamiltonian(profile, basis, parity=2)
+
+
+def test_parity_leak_separates_mirror_symmetric_walls():
+    cases = {case: make_case(case) for case in ("reference", "disordered", "wiggled")}
+    cases["rectangle"] = make_rectangle(1.0, 3.0, samples=512)
+    leaks = {case: _parity_leak(_axial_tables(p, 16)) for case, p in cases.items()}
+    assert leaks["rectangle"] == 0.0
+    assert leaks["reference"] < 1e-15
+    assert leaks["disordered"] > 1e-3
+    assert leaks["wiggled"] > 1e-3
+
+
+def check_eigenpairs(sol, ham):
+    residual = np.linalg.norm(sol.coeffs @ ham - sol.energies[:, None] * sol.coeffs, axis=1)
+    assert np.all(residual <= 1e-9 * sol.energies)
+    gram = sol.coeffs @ sol.coeffs.T
+    assert np.max(np.abs(gram - np.eye(sol.k_keep))) < 1e-12
+
+
+def test_parity_split_solves_the_full_problem():
+    profile = make_case("reference")
+    basis = BasisSpec(m_max=16, n_max=8)
+    sol = solve_cavity(profile, basis, k_keep=basis.size)
+    ham = assemble_hamiltonian(profile, basis)
+    exact = np.linalg.eigvalsh(ham)
+    assert np.max(np.abs(sol.energies - exact) / exact) < 1e-10
+    check_eigenpairs(sol, ham)
+    even = np.abs(sol.coeffs[:, parity_modes(basis, 0)]).max(axis=1)
+    odd = np.abs(sol.coeffs[:, parity_modes(basis, 1)]).max(axis=1)
+    assert np.all((even == 0.0) != (odd == 0.0))
+    assert 0 < np.count_nonzero(even) < basis.size
+
+
+@pytest.mark.parametrize("case", ["disordered", "wiggled"])
+def test_asymmetric_walls_take_the_generic_path(case):
+    profile = make_case(case)
+    basis = BasisSpec(m_max=16, n_max=8)
+    sol = solve_cavity(profile, basis, k_keep=60)
+    check_eigenpairs(sol, assemble_hamiltonian(profile, basis))
+    even = np.linalg.norm(sol.coeffs[:, parity_modes(basis, 0)], axis=1)
+    odd = np.linalg.norm(sol.coeffs[:, parity_modes(basis, 1)], axis=1)
+    assert np.max(np.minimum(even, odd)) > 1e-2
 
 
 def test_matrix_is_symmetric_positive_definite():
@@ -243,6 +337,16 @@ def test_solution_roundtrip(tmp_path):
     assert np.array_equal(back.energies, sol.energies)
     assert np.array_equal(back.coeffs, sol.coeffs)
     assert back.basis == sol.basis
+
+
+def test_solution_cache_rejects_truncated_coefficients(tmp_path):
+    profile = make_reference_cavity(samples=512)
+    sol = solve_cavity(profile, BasisSpec(10, 6), k_keep=12)
+    save_solution(sol, tmp_path / "cache")
+    path = tmp_path / "cache" / "coeffs.bin"
+    path.write_bytes(path.read_bytes()[:-8 * sol.basis.size])
+    with pytest.raises(ValueError, match="header implies"):
+        load_solution(tmp_path / "cache", profile)
 
 
 def test_solution_cache_rejects_other_geometry(tmp_path):

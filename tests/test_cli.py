@@ -193,6 +193,24 @@ def test_two_body_cli(tmp_path, monkeypatch):
     assert np.all(np.diff(values) >= 0.0)
 
 
+def test_two_body_order_check_failure_exits_cleanly(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
+    cfg_path = write_yaml(
+        tmp_path / "cfg.yaml",
+        {
+            "geometry": {"kind": "reference", "samples": 512},
+            "basis": {"m_max": 10, "n_max": 6, "k_keep": 60},
+            "two_body": {"states": 6, "quad_order": 16},
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    assert main(["--config", cfg_path, "two-body"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: quadrature not converged at q=16")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "pair_energies.csv").exists()
+
+
 def test_bad_geometry_kind_is_config_error(tmp_path, capsys):
     cfg_path = write_yaml(tmp_path / "cfg.yaml", {"geometry": {"kind": "moebius"}})
     assert main(["--config", cfg_path, "solve-cavity"]) == 2

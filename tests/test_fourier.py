@@ -80,23 +80,8 @@ def test_error_falls_fast_with_grid():
     assert errs[1] < 1e-11
 
 
-def test_trapezoid_variant_agrees():
-    length = 2.0
-    m = 4096
-    u_end = np.linspace(0.0, length, m + 1)
-    u_mid = midgrid(length, m)
-    a = fft_cosine_integrals(np.exp(-u_mid), length, count=8, kind="midpoint")
-    b = fft_cosine_integrals(np.exp(-u_end), length, count=8, kind="trapezoid")
-    assert np.max(np.abs(a - b)) < 1e-6
-    sa = fft_sine_integrals(np.exp(-u_mid), length, count=8, kind="midpoint")
-    sb = fft_sine_integrals(np.exp(-u_end), length, count=8, kind="trapezoid")
-    assert np.max(np.abs(sa - sb)) < 1e-6
-
-
 def test_count_validation():
     with pytest.raises(ValueError):
         fft_cosine_integrals(np.ones(512), 1.0, count=513)
     with pytest.raises(ValueError):
         fft_cosine_integrals(np.ones(4), 1.0)
-    with pytest.raises(ValueError):
-        fft_cosine_integrals(np.ones(512), 1.0, count=4, kind="nope")
