@@ -36,6 +36,9 @@ import csv
 import json
 import logging
 import math
+import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -522,10 +525,23 @@ def save_solution(solution: CavitySolution, directory) -> None:
     """Persist energies (CSV) and coefficients (flat float64 binary).
 
     The binary starts with a 4-value float64 header: m_max, n_max, k_keep,
-    length; the coefficient rows follow in flat order.
+    length; the coefficient rows follow in flat order. The files are written
+    to a temporary sibling directory that is then renamed into place, so a
+    crash never leaves a partial entry at `directory`, which must be absent
+    or empty.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
+    try:
+        _write_solution(solution, staging)
+        os.replace(staging, directory)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+
+
+def _write_solution(solution: CavitySolution, directory: Path) -> None:
     with open(directory / "energies.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "energy"])
@@ -571,9 +587,11 @@ def load_solution(directory, profile: BoundaryProfile) -> CavitySolution:
     basis = BasisSpec(m_max=m_max, n_max=n_max)
     coeffs = raw[_HEADER_LEN:].reshape(k_keep, basis.size)
     energies = np.loadtxt(directory / "energies.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
+    if energies.size != k_keep:
+        raise ValueError(f"energies.csv holds {energies.size} rows, coeffs.bin {k_keep}")
     return CavitySolution(
         profile=profile,
         basis=basis,
-        energies=np.ascontiguousarray(energies[:k_keep]),
+        energies=np.ascontiguousarray(energies),
         coeffs=np.ascontiguousarray(coeffs),
     )

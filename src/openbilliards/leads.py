@@ -8,7 +8,9 @@ two interfaces to its inward normal derivatives there,
     R_ab(n, n') = sum_j phi_jn(a) phi_jn'(b) / (E - E_j),
 
 summed over the retained cavity eigenpairs. Evanescent (closed) channels
-are excluded throughout.
+are excluded throughout. R is kept split as a regular part plus the pole
+term of the level nearest E, so that the S-matrix can be formed at any
+energy, the cavity levels included (see `scattering.cayley_smatrix`).
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from .cavity import CavitySolution, axial_norms
 
 Array = NDArray[np.float64]
 
-THRESHOLD_TOL = 1e-12
 INTERFACE_TOL = 1e-9
 
 
 class IllConditionedEnergy(ArithmeticError):
     """Energy too close to a channel threshold or a reaction-matrix pole.
 
-    Sweeps catch this and skip the point; `reason` is "threshold" or "pole".
+    No longer raised: the S-matrix is computed at every energy. The name is
+    kept for code that still catches it; `reason` is "threshold" or "pole".
     """
 
     def __init__(self, message: str, reason: str):
@@ -44,7 +46,7 @@ class LeadSpace:
 
     energy: float
     lead_width: float
-    wavevectors: Array  # k_n for n = 1..n_open, strictly decreasing
+    wavevectors: Array  # k_n for n = 1..n_open, strictly decreasing, >= 0
 
     @property
     def n_open(self) -> int:
@@ -52,17 +54,18 @@ class LeadSpace:
 
 
 def channel_space(energy: float, lead_width: float) -> LeadSpace:
-    """Enumerate open channels at `energy` for leads of width `lead_width`."""
+    """Enumerate open channels at `energy` for leads of width `lead_width`.
+
+    A channel is open when its threshold is <= E, so at an exact threshold
+    the new channel is open with k_n = 0; it carries no flux (S_nn = -1).
+    """
     if energy <= 0.0:
         raise ValueError(f"energy must be positive, got {energy}")
     if lead_width <= 0.0:
         raise ValueError(f"lead width must be positive, got {lead_width}")
-    n_open = int(math.floor(lead_width * math.sqrt(energy) / math.pi))
-    thresholds = (np.arange(1, n_open + 2) * math.pi / lead_width) ** 2
-    if np.min(np.abs(energy - thresholds)) < THRESHOLD_TOL:
-        raise IllConditionedEnergy(
-            f"E={energy!r} sits on a channel threshold", reason="threshold"
-        )
+    n_max = int(math.floor(lead_width * math.sqrt(energy) / math.pi)) + 1
+    thresholds = (np.arange(1, n_max + 1) * math.pi / lead_width) ** 2
+    n_open = int(np.count_nonzero(thresholds <= energy))
     wavevectors = np.sqrt(energy - thresholds[:n_open])
     return LeadSpace(energy=energy, lead_width=lead_width, wavevectors=wavevectors)
 
@@ -126,13 +129,25 @@ def sum_rule(table: OverlapTable) -> Array:
     )
 
 
-def r_matrix(
-    table: OverlapTable, space: LeadSpace, pole_tol: float | None = None
-) -> Array:
+@dataclass(frozen=True)
+class ReactionMatrix:
+    """R = regular + outer(residue, residue) / gap, over both leads' channels.
+
+    `regular` is the real symmetric pole sum without one level, `residue`
+    that level's interface values and `gap` = E - E_level, which may be 0.
+    A finite R is passed as `regular` with a zero residue.
+    """
+
+    regular: Array  # (n, n), exactly symmetric
+    residue: Array  # (n,)
+    gap: float
+
+
+def r_matrix(table: OverlapTable, space: LeadSpace) -> ReactionMatrix:
     """Reaction matrix over open channels, blocks ordered (left, right).
 
-    Exactly symmetric; poles at the retained cavity energies are guarded
-    by `pole_tol` (default 1e-9 * max(|E|, 1)).
+    The retained level nearest E is split off as the pole term, so R is
+    defined at every energy, exactly on a cavity level too.
     """
     n = space.n_open
     if n < 1:
@@ -141,16 +156,12 @@ def r_matrix(
         raise ValueError(f"table holds {table.n_lead} channels, need {n}")
     if abs(space.lead_width - table.lead_width) > INTERFACE_TOL:
         raise ValueError("lead width mismatch between table and channel space")
-    energy = space.energy
-    if pole_tol is None:
-        pole_tol = 1e-9 * max(abs(energy), 1.0)
-    gaps = energy - table.energies
+    gaps = space.energy - table.energies
     nearest = int(np.argmin(np.abs(gaps)))
-    if abs(gaps[nearest]) < pole_tol:
-        raise IllConditionedEnergy(
-            f"E={energy!r} within {pole_tol:g} of cavity level {nearest}",
-            reason="pole",
-        )
+    gap = float(gaps[nearest])
+    gaps[nearest] = np.inf  # drops the split-off level from the sum
     phi = np.hstack([table.left[:, :n], table.right[:, :n]])
-    rmat = phi.T @ (phi / gaps[:, None])
-    return 0.5 * (rmat + rmat.T)
+    regular = phi.T @ (phi / gaps[:, None])
+    return ReactionMatrix(
+        regular=0.5 * (regular + regular.T), residue=phi[nearest].copy(), gap=gap
+    )

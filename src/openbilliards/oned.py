@@ -2,9 +2,10 @@
 
 End-to-end check of the energy-domain pipeline on a problem with a closed
 form: a constant potential step of height V0 on [0, 1]. The reaction matrix
-is the Neumann-basis spectral sum with poles at V0 + (m*pi)^2, and the
-scattering matrix reuses the same Cayley construction as the cavity solver,
-with interface phases diag(1, e^{-ik}). Units hbar^2/2m = 1.
+is the Neumann-basis spectral sum with poles at V0 + (m*pi)^2, split at the
+level nearest E like the cavity's, and the scattering matrix reuses the
+same Cayley construction as the cavity solver, with interface phases
+diag(1, e^{-ik}). Units hbar^2/2m = 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .leads import IllConditionedEnergy
+from .leads import ReactionMatrix
 from .scattering import cayley_smatrix
 
 Array = NDArray[np.float64]
@@ -61,69 +62,60 @@ def exact_transmission(energy: float, height: float) -> float:
     return 1.0 / (1.0 + height**2 * shape / (4.0 * energy))
 
 
-def reaction_matrix(
-    energy: float, problem: BarrierProblem, pole_tol: float | None = None
-) -> Array:
+def reaction_matrix(energy: float, problem: BarrierProblem) -> ReactionMatrix:
     """2x2 reaction matrix from the truncated Neumann-basis series.
 
     Diagonal: 1/(E - V0) + sum_m 2/(E - V0 - m^2 pi^2). Off-diagonal gets
     the alternating sign of the basis function at the far wall. Strictly
-    decreasing in E between consecutive poles.
+    decreasing in E between consecutive poles. The level nearest E is
+    split off as the pole term.
     """
     e = float(energy)
     if e <= 0.0:
         raise ValueError(f"energy must be positive, got {e}")
-    tol = pole_tol if pole_tol is not None else 1e-9 * max(abs(e), 1.0)
     gaps = e - problem.levels()
-    if np.min(np.abs(gaps)) < tol:
-        m_near = int(np.argmin(np.abs(gaps)))
-        raise IllConditionedEnergy(
-            f"E={e:.12g} sits on the interior level m={m_near}", reason="pole"
-        )
+    nearest = int(np.argmin(np.abs(gaps)))
+    gap = float(gaps[nearest])
+    gaps[nearest] = np.inf  # drops the split-off level from the sums
     weights = np.full(gaps.size, 2.0)
     weights[0] = 1.0
     signs = np.where(np.arange(gaps.size) % 2 == 0, 1.0, -1.0)
     diag = math.fsum(weights / gaps)
     off = math.fsum(weights * signs / gaps)
-    return np.array([[diag, off], [off, diag]])
+    return ReactionMatrix(
+        regular=np.array([[diag, off], [off, diag]]),
+        residue=math.sqrt(weights[nearest]) * np.array([1.0, signs[nearest]]),
+        gap=gap,
+    )
 
 
-def barrier_smatrix(
-    energy: float, problem: BarrierProblem, pole_tol: float | None = None
-) -> NDArray[np.complex128]:
+def barrier_smatrix(energy: float, problem: BarrierProblem) -> NDArray[np.complex128]:
     """2x2 scattering matrix with interface phases diag(1, e^{-ik})."""
     k = math.sqrt(float(energy))
-    rmat = reaction_matrix(energy, problem, pole_tol=pole_tol)
-    core = cayley_smatrix(rmat, np.array([k, k]))
+    core = cayley_smatrix(reaction_matrix(energy, problem), np.array([k, k]))
     phases = np.array([1.0, np.exp(-1j * k)])
     return phases[:, None] * core * phases[None, :]
 
 
-def rmatrix_transmission(
-    energy: float, problem: BarrierProblem, pole_tol: float | None = None
-) -> float:
+def rmatrix_transmission(energy: float, problem: BarrierProblem) -> float:
     """|S_21|^2 from the truncated reaction matrix."""
-    smat = barrier_smatrix(energy, problem, pole_tol=pole_tol)
+    smat = barrier_smatrix(energy, problem)
     return float(abs(smat[1, 0]) ** 2)
 
 
-def write_comparison_csv(path, problem, energies, header_lines=()) -> int:
-    """Emit E, T_exact, T_rmatrix rows; poles become comment lines.
+def write_comparison_csv(path, problem, energies, header_lines=()) -> float:
+    """Emit E, T_exact, T_rmatrix rows, one per energy.
 
-    Returns the number of data rows written.
+    Returns the largest |T_exact - T_rmatrix| written (0 for no energies).
     """
-    rows = 0
+    worst = 0.0
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("E,T_exact,T_rmatrix\n")
         for e_val in np.asarray(energies, dtype=float):
-            try:
-                t_rm = rmatrix_transmission(e_val, problem)
-            except IllConditionedEnergy as err:
-                fh.write(f"# skipped E={e_val:.12g} reason={err.reason}\n")
-                continue
+            t_rm = rmatrix_transmission(e_val, problem)
             t_ex = exact_transmission(e_val, problem.height)
             fh.write(f"{e_val:.12g},{t_ex:.12g},{t_rm:.12g}\n")
-            rows += 1
-    return rows
+            worst = max(worst, abs(t_ex - t_rm))
+    return worst

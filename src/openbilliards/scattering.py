@@ -23,44 +23,45 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cavity import CavitySolution
-from .leads import (
-    IllConditionedEnergy,
-    LeadSpace,
-    OverlapTable,
-    channel_space,
-    overlaps,
-    r_matrix,
-)
+from .leads import LeadSpace, ReactionMatrix, channel_space, overlaps, r_matrix
 
 Array = NDArray[np.float64]
 CArray = NDArray[np.complex128]
 
-_COND_LIMIT = 1e12
 
-
-def cayley_smatrix(rmat: Array, wavevectors: Array) -> CArray:
-    """Unitary symmetric S from a real symmetric reaction matrix.
+def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
+    """Unitary symmetric S from a reaction matrix split at its nearest pole.
 
     `wavevectors` lists the channel k's in the same order as the rows of
-    `rmat` (both leads concatenated). Shared by the 2D pipeline and the 1D
-    validation module.
+    R (both leads concatenated). With At = K^(1/2) regular K^(1/2),
+    u = K^(1/2) residue, g = gap, M = I + i*At and v = M^(-1) u, the
+    Sherman-Morrison form of the Cayley image is
+
+        S = I - 2 M^(-1) + 2i v v^T / (g + i u^T v).
+
+    The denominator's modulus is at least u^T (I + At^2)^(-1) u > 0, so S
+    is finite on the pole (g = 0). M^(-1) comes from the eigenpairs of At,
+    which keeps S unitary to rounding however large At is. A channel at
+    its threshold (k = 0) carries no flux: S_nn = -1 and its other entries
+    vanish. Shared by the 2D pipeline and the 1D validation module.
     """
-    rmat = np.asarray(rmat, dtype=float)
     k = np.asarray(wavevectors, dtype=float)
-    if rmat.shape != (k.size, k.size):
-        raise ValueError(f"R shape {rmat.shape} does not match {k.size} channels")
-    if np.any(k <= 0.0):
-        raise ValueError("all channel wave vectors must be positive")
+    n = k.size
+    if rmat.regular.shape != (n, n) or rmat.residue.shape != (n,):
+        raise ValueError(f"R shape {rmat.regular.shape} does not match {n} channels")
+    if np.any(k < 0.0):
+        raise ValueError("channel wave vectors must not be negative")
     sk = np.sqrt(k)
-    tilde = sk[:, None] * rmat * sk[None, :]
-    plus = 1j * tilde + np.eye(k.size)
-    minus = 1j * tilde - np.eye(k.size)
-    if np.linalg.cond(plus) > _COND_LIMIT:
-        raise IllConditionedEnergy(
-            "scattering solve ill-conditioned (near-resonance)", reason="pole"
-        )
-    smat = np.linalg.solve(plus, minus)
-    # time-reversal symmetry is exact; project out solver round-off
+    levels, vectors = np.linalg.eigh(sk[:, None] * rmat.regular * sk[None, :])
+    inverse = 1.0 / (1.0 + 1j * levels)  # eigenvalues of M^(-1)
+    coupling = vectors.T @ (sk * rmat.residue)  # u in the eigenbasis
+    smat = np.eye(n) - 2.0 * (vectors * inverse) @ vectors.T
+    denom = rmat.gap + 1j * np.sum(inverse * coupling**2)
+    if denom != 0.0:  # zero only for a decoupled level (u = 0) on its pole
+        v = vectors @ (inverse * coupling)
+        smat += (2j / denom) * np.outer(v, v)
+    # time-reversal symmetry is exact; BLAS products are symmetric only to
+    # rounding
     return 0.5 * (smat + smat.T)
 
 
@@ -102,7 +103,7 @@ class ScatteringMatrix:
 
 
 def s_from_r(
-    rmat: Array,
+    rmat: ReactionMatrix,
     space: LeadSpace,
     cavity_length: float,
     phase_reference: str = "interface",
@@ -139,23 +140,26 @@ def conductance(smatrix: ScatteringMatrix) -> float:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Conductance sweep over a k-grid in units of pi/w.
-
-    Arrays cover the computed points only; `skipped` lists dropped grid
-    values with reasons. Output writers re-insert skipped points by linear
-    interpolation.
-    """
+    """Conductance sweep over a k-grid in units of pi/w, one entry per point."""
 
     lead_width: float
     cavity_length: float
     phase_reference: str
-    k_requested: Array  # full grid, units pi/w
-    k: Array  # computed points
+    k: Array  # the requested grid, units pi/w
     transmission: Array
     n_open: NDArray[np.int64]
     unitarity_defect: Array
-    t_blocks: tuple[CArray, ...]  # per computed point, n_open x n_open
-    skipped: tuple[tuple[float, str], ...]
+    t_blocks: tuple[CArray, ...]  # per point, n_open x n_open
+
+    @property
+    def k_requested(self) -> Array:
+        """The grid; equal to `k`, since every point is computed."""
+        return self.k
+
+    @property
+    def skipped(self) -> tuple[tuple[float, str], ...]:
+        """Always empty: no point is skipped."""
+        return ()
 
 
 def sweep_conductance(
@@ -163,14 +167,11 @@ def sweep_conductance(
     k_grid: Array,
     n_lead: int | None = None,
     phase_reference: str = "interface",
-    skip_rtol: float = 1e-6,
-    pole_tol: float | None = None,
 ) -> SweepResult:
     """Sweep S-matrices over `k_grid` (units pi/w), reusing one solution.
 
-    Points within `skip_rtol` (relative in E) of a channel threshold or a
-    retained cavity level are dropped with a reason; remaining failures of
-    the per-point solve are likewise recorded, never raised.
+    Every point is computed, on channel thresholds and cavity levels too.
+    Below the first threshold no channel is open and T = 0.
     """
     profile = solution.profile
     w = profile.lead_width
@@ -179,7 +180,8 @@ def sweep_conductance(
         raise ValueError("k_grid must be a non-empty 1D array")
     if np.any(k_grid <= 0.0):
         raise ValueError("k_grid values must be positive (units pi/w)")
-    needed = max(1, int(math.floor(np.max(k_grid))))
+    energies = (k_grid * math.pi / w) ** 2
+    needed = max(1, channel_space(float(np.max(energies)), w).n_open)
     if n_lead is None:
         n_lead = needed
     if n_lead < needed:
@@ -190,81 +192,43 @@ def sweep_conductance(
             f"n_max={solution.basis.n_max} transverse modes"
         )
     table = overlaps(solution, n_lead)
-    thresholds = (np.arange(1, n_lead + 2) * math.pi / w) ** 2
 
-    kept_k, kept_t, kept_n, kept_defect = [], [], [], []
+    transmission, n_open, defects = [], [], []
     blocks: list[CArray] = []
-    skipped: list[tuple[float, str]] = []
-    for k_val in k_grid:
-        energy = (k_val * math.pi / w) ** 2
-        if np.min(np.abs(energy - thresholds)) < skip_rtol * energy:
-            skipped.append((float(k_val), "threshold"))
-            continue
-        if np.min(np.abs(energy - table.energies)) < skip_rtol * energy:
-            skipped.append((float(k_val), "pole"))
-            continue
-        try:
-            space = channel_space(energy, w)
-            if space.n_open == 0:
-                kept_k.append(float(k_val))
-                kept_t.append(0.0)
-                kept_n.append(0)
-                kept_defect.append(0.0)
-                blocks.append(np.zeros((0, 0), dtype=complex))
-                continue
-            rmat = r_matrix(table, space, pole_tol=pole_tol)
-            smat = s_from_r(rmat, space, profile.length, phase_reference)
-        except IllConditionedEnergy as exc:
-            skipped.append((float(k_val), exc.reason))
-            continue
-        kept_k.append(float(k_val))
-        kept_t.append(conductance(smat))
-        kept_n.append(space.n_open)
-        kept_defect.append(smat.unitarity_defect)
-        blocks.append(smat.t.copy())
+    for energy in energies:
+        space = channel_space(float(energy), w)
+        if space.n_open == 0:
+            transmission.append(0.0)
+            defects.append(0.0)
+            blocks.append(np.zeros((0, 0), dtype=complex))
+        else:
+            smat = s_from_r(r_matrix(table, space), space, profile.length, phase_reference)
+            transmission.append(conductance(smat))
+            defects.append(smat.unitarity_defect)
+            blocks.append(smat.t.copy())
+        n_open.append(space.n_open)
     return SweepResult(
         lead_width=w,
         cavity_length=profile.length,
         phase_reference=phase_reference,
-        k_requested=k_grid.copy(),
-        k=np.asarray(kept_k),
-        transmission=np.asarray(kept_t),
-        n_open=np.asarray(kept_n, dtype=np.int64),
-        unitarity_defect=np.asarray(kept_defect),
+        k=k_grid.copy(),
+        transmission=np.asarray(transmission),
+        n_open=np.asarray(n_open, dtype=np.int64),
+        unitarity_defect=np.asarray(defects),
         t_blocks=tuple(blocks),
-        skipped=tuple(skipped),
     )
 
 
 def write_sweep_csv(result: SweepResult, path, header_lines=()) -> None:
-    """Write the full requested grid; skipped points get interpolated T.
-
-    Interpolated rows carry NaN in the defect column and are listed with
-    their skip reason in the header comments.
-    """
-    if result.k.size == 0:
-        raise ValueError("sweep produced no computed points")
-    kept_index = {float(k_val): i for i, k_val in enumerate(result.k)}
-    order = np.argsort(result.k)
-    k_sorted = result.k[order]
-    t_sorted = result.transmission[order]
+    """Write one row per sweep point: k, T, N_open, unitarity defect."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        for k_val, reason in result.skipped:
-            fh.write(f"# skipped k={k_val:.12g} reason={reason}\n")
         fh.write("k_over_piw,T,N_open,unitarity_defect\n")
-        for k_val in result.k_requested:
-            idx = kept_index.get(float(k_val))
-            if idx is not None:
-                fh.write(
-                    f"{k_val:.12g},{result.transmission[idx]:.12g},"
-                    f"{result.n_open[idx]:d},{result.unitarity_defect[idx]:.6g}\n"
-                )
-            else:
-                t_interp = float(np.interp(k_val, k_sorted, t_sorted))
-                n_open = int(math.floor(k_val + 1e-12))
-                fh.write(f"{k_val:.12g},{t_interp:.12g},{n_open:d},nan\n")
+        for k_val, t_val, n_val, defect in zip(
+            result.k, result.transmission, result.n_open, result.unitarity_defect
+        ):
+            fh.write(f"{k_val:.12g},{t_val:.12g},{n_val:d},{defect:.6g}\n")
 
 
 def write_t_store(result: SweepResult, path) -> None:

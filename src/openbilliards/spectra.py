@@ -47,11 +47,10 @@ class SpectrumSeries:
 def uniform_series(
     result: SweepResult, window: tuple[float, float], n_modes: int
 ) -> SpectrumSeries:
-    """Extract uniform t_nm(k) samples from a sweep, filling skipped points.
+    """Extract uniform t_nm(k) samples of the sweep points inside `window`.
 
-    `window` is in units pi/w like the sweep grid. Every computed point in
-    the window must have at least `n_modes` channels open; skipped points
-    are filled by linear interpolation per matrix entry.
+    `window` is in units pi/w like the sweep grid. Every point in the window
+    must have at least `n_modes` channels open.
     """
     lo, hi = window
     if not lo < hi:
@@ -59,37 +58,20 @@ def uniform_series(
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     scale = math.pi / result.lead_width
-    mask = (result.k_requested >= lo - GRID_RTOL) & (
-        result.k_requested <= hi + GRID_RTOL
-    )
-    grid = result.k_requested[mask]
-    if grid.size < 8:
-        raise ValueError(f"window {window} covers only {grid.size} sweep points")
+    inside = np.flatnonzero((result.k >= lo - GRID_RTOL) & (result.k <= hi + GRID_RTOL))
+    if inside.size < 8:
+        raise ValueError(f"window {window} covers only {inside.size} sweep points")
+    grid = result.k[inside]
     steps = np.diff(grid)
     if np.max(steps) - np.min(steps) > GRID_RTOL * max(abs(lo), abs(hi)):
         raise ValueError("sweep grid is not uniform inside the window")
-
-    kept = {}
-    for i, k_val in enumerate(result.k):
-        if lo - GRID_RTOL <= k_val <= hi + GRID_RTOL:
-            if result.n_open[i] < n_modes:
-                raise ValueError(
-                    f"only {result.n_open[i]} channels open at k={k_val:.6g}, "
-                    f"need {n_modes}"
-                )
-            kept[float(k_val)] = result.t_blocks[i][:n_modes, :n_modes]
-    if not kept:
-        raise ValueError("no computed sweep points inside the window")
-    kept_k = np.asarray(sorted(kept))
-    kept_t = np.stack([kept[k_val] for k_val in kept_k])
-
-    samples = np.empty((grid.size, n_modes, n_modes), dtype=complex)
-    for a in range(n_modes):
-        for b in range(n_modes):
-            col = kept_t[:, a, b]
-            samples[:, a, b] = np.interp(grid, kept_k, col.real) + 1j * np.interp(
-                grid, kept_k, col.imag
+    for i in inside:
+        if result.n_open[i] < n_modes:
+            raise ValueError(
+                f"only {result.n_open[i]} channels open at k={result.k[i]:.6g}, "
+                f"need {n_modes}"
             )
+    samples = np.stack([result.t_blocks[i][:n_modes, :n_modes] for i in inside])
     return SpectrumSeries(
         k_window=(float(lo), float(hi)),
         lead_width=result.lead_width,

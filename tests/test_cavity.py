@@ -337,6 +337,8 @@ def test_solution_roundtrip(tmp_path):
     assert np.array_equal(back.energies, sol.energies)
     assert np.array_equal(back.coeffs, sol.coeffs)
     assert back.basis == sol.basis
+    # written in a staging directory that was renamed into place
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]
 
 
 def test_solution_cache_rejects_truncated_coefficients(tmp_path):
@@ -346,6 +348,16 @@ def test_solution_cache_rejects_truncated_coefficients(tmp_path):
     path = tmp_path / "cache" / "coeffs.bin"
     path.write_bytes(path.read_bytes()[:-8 * sol.basis.size])
     with pytest.raises(ValueError, match="header implies"):
+        load_solution(tmp_path / "cache", profile)
+
+
+def test_solution_cache_rejects_truncated_energies(tmp_path):
+    profile = make_reference_cavity(samples=512)
+    sol = solve_cavity(profile, BasisSpec(10, 6), k_keep=12)
+    save_solution(sol, tmp_path / "cache")
+    path = tmp_path / "cache" / "energies.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    with pytest.raises(ValueError, match="energies.csv holds 11 rows"):
         load_solution(tmp_path / "cache", profile)
 
 

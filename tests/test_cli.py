@@ -70,12 +70,35 @@ def test_overrides_apply_and_validate():
     cfg = load_config(None, overrides=["sweep.points=17", "output_dir=elsewhere"])
     assert cfg["sweep"]["points"] == 17
     assert cfg["output_dir"] == "elsewhere"
-    cfg = load_config(None, overrides=["geometry.wiggle.amplitude=0.02"])
-    assert cfg["geometry"]["wiggle"]["amplitude"] == 0.02
+    cfg = load_config(
+        None,
+        overrides=["geometry.wiggle.amplitude=0.02", "geometry.wiggle.cycles=10"],
+    )
+    assert cfg["geometry"]["wiggle"] == {"amplitude": 0.02, "cycles": 10}
+    # a switched-on optional subtree must be complete, like a spectra window
+    with pytest.raises(ConfigError, match="missing key 'cycles'"):
+        load_config(None, overrides=["geometry.wiggle.amplitude=0.02"])
     with pytest.raises(ConfigError, match="sweep.velocity"):
         load_config(None, overrides=["sweep.velocity=3"])
     with pytest.raises(ConfigError, match="not of the form"):
         load_config(None, overrides=["sweep.points"])
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("geometry.disorder.seed=3", "missing key 'roughness'"),
+        ("basis.m_max=abc", "'basis.m_max' must be int"),
+        ("two_body.potential=null", "'two_body.potential' must be a mapping"),
+    ],
+)
+def test_bad_override_is_config_error(tmp_path, capsys, override, message):
+    argv = ["--output-dir", str(tmp_path / "out"), "--set", override, "solve-cavity"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_cavity_cache_and_determinism(tmp_path, caplog, monkeypatch):
@@ -102,6 +125,26 @@ def test_solve_cavity_cache_and_determinism(tmp_path, caplog, monkeypatch):
     assert energies.size == 297
     assert np.all(energies > 0.0)
     assert np.all(np.diff(energies) >= 0.0)
+
+
+def test_unusable_cache_entry_is_replaced(tmp_path, caplog, monkeypatch):
+    cache = tmp_path / "cachedir"
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(cache))
+    cfg_path = small_rect_config(tmp_path)
+    assert main(["--config", cfg_path, "solve-cavity"]) == 0
+    first = (tmp_path / "out" / "energies.csv").read_bytes()
+    (slot,) = cache.iterdir()
+    energies = slot / "energies.csv"
+    energies.write_text("\n".join(energies.read_text().splitlines()[:-5]) + "\n")
+    with caplog.at_level(logging.INFO, logger="openbilliards.cli"):
+        assert main(["--config", cfg_path, "solve-cavity"]) == 0
+    assert any("unusable" in r.message for r in caplog.records)
+    assert (tmp_path / "out" / "energies.csv").read_bytes() == first
+    assert [p.name for p in cache.iterdir()] == [slot.name]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="openbilliards.cli"):
+        assert main(["--config", cfg_path, "solve-cavity"]) == 0
+    assert any("cache hit" in r.message for r in caplog.records)
 
 
 def test_sweep_and_spectrum_outputs(tmp_path, monkeypatch):
@@ -142,8 +185,9 @@ def test_validate_1d(tmp_path):
     assert main(["--config", cfg_path, "validate-1d"]) == 0
     text = (tmp_path / "out" / "barrier.csv").read_text()
     assert "E,T_exact,T_rmatrix" in text
-    # The grid crosses E = V0 (an interior level), which must be skipped.
-    assert "# skipped E=" in text
+    # Every energy is written, E = V0 (an interior level) included.
+    rows = [l for l in text.splitlines() if not l.startswith("#")]
+    assert len(rows) == 1 + 200
 
 
 def test_validate_report_and_negative_control(tmp_path):

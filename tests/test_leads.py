@@ -8,7 +8,6 @@ import pytest
 from openbilliards.cavity import BasisSpec, eval_wavefunction, solve_cavity
 from openbilliards.geometry import make_rectangle, make_reference_cavity, min_width
 from openbilliards.leads import (
-    IllConditionedEnergy,
     LeadSpace,
     OverlapTable,
     channel_space,
@@ -32,12 +31,11 @@ def test_channel_space_below_first_threshold():
     assert space.wavevectors.size == 0
 
 
-def test_channel_space_rejects_exact_threshold():
-    with pytest.raises(IllConditionedEnergy) as info:
-        channel_space(math.pi**2, 1.0)
-    assert info.value.reason == "threshold"
-    # slightly detuned energies are fine
-    assert channel_space(math.pi**2 * (1 + 1e-6), 1.0).n_open == 1
+def test_channel_space_opens_channel_at_exact_threshold():
+    space = channel_space((2.0 * math.pi) ** 2, 1.0)
+    assert space.n_open == 2
+    assert space.wavevectors[1] == 0.0
+    assert channel_space((2.0 * math.pi) ** 2 * (1 - 1e-12), 1.0).n_open == 1
 
 
 def test_channel_space_wavevectors_decreasing_positive():
@@ -143,9 +141,11 @@ def test_r_matrix_rank_one():
     )
     space = channel_space(11.0, 1.0)
     rmat = r_matrix(table, space)
-    gap = 11.0 - 2.0
-    expected = np.array([[0.49, -0.21], [-0.21, 0.09]]) / gap
-    assert np.max(np.abs(rmat - expected)) < 1e-15
+    assert rmat.gap == 11.0 - 2.0
+    assert np.array_equal(rmat.regular, np.zeros((2, 2)))
+    full = rmat.regular + np.outer(rmat.residue, rmat.residue) / rmat.gap
+    expected = np.array([[0.49, -0.21], [-0.21, 0.09]]) / (11.0 - 2.0)
+    assert np.max(np.abs(full - expected)) < 1e-15
 
 
 def test_r_matrix_exactly_symmetric():
@@ -153,22 +153,29 @@ def test_r_matrix_exactly_symmetric():
     table = overlaps(sol, n_lead=4)
     space = channel_space((4.3 * math.pi / table.lead_width) ** 2, table.lead_width)
     rmat = r_matrix(table, space)
-    assert rmat.shape == (8, 8)
-    assert np.array_equal(rmat, rmat.T)
+    assert rmat.regular.shape == (8, 8)
+    assert rmat.residue.shape == (8,)
+    assert np.array_equal(rmat.regular, rmat.regular.T)
 
 
-def test_r_matrix_pole_guard():
-    sol = solve_cavity(make_rectangle(1.0, 3.0, samples=512), BasisSpec(8, 6), 10)
-    table = overlaps(sol, n_lead=2)
-    target = float(sol.energies[3])
-    with pytest.raises(IllConditionedEnergy) as info:
-        space = LeadSpace(
-            energy=target + 1e-10,
-            lead_width=1.0,
-            wavevectors=np.array([math.sqrt(target - math.pi**2)]),
+def test_r_matrix_splits_off_the_nearest_level():
+    sol = solve_cavity(make_reference_cavity(samples=512), BasisSpec(16, 8), 40)
+    table = overlaps(sol, n_lead=6)
+    target = float(sol.energies[12])
+    for energy in (target, target + 1e-3):
+        space = channel_space(energy, table.lead_width)
+        n = space.n_open
+        rmat = r_matrix(table, space)
+        assert rmat.gap == energy - target
+        assert np.array_equal(
+            rmat.residue, np.concatenate([table.left[12, :n], table.right[12, :n]])
         )
-        r_matrix(table, space)
-    assert info.value.reason == "pole"
+        assert np.all(np.isfinite(rmat.regular))
+    # the split is exact: the dense sum over every level is recovered
+    phi = np.hstack([table.left[:, :n], table.right[:, :n]])
+    dense = phi.T @ (phi / (energy - table.energies)[:, None])
+    full = rmat.regular + np.outer(rmat.residue, rmat.residue) / rmat.gap
+    assert np.max(np.abs(full - dense)) < 1e-9 * np.max(np.abs(dense))
 
 
 def test_r_matrix_sign_flips_across_pole():
@@ -183,7 +190,8 @@ def test_r_matrix_sign_flips_across_pole():
             lead_width=1.0,
             wavevectors=np.array([math.sqrt(energy - math.pi**2)]),
         )
-        return r_matrix(table, space)[0, 0]
+        rmat = r_matrix(table, space)
+        return rmat.regular[0, 0] + rmat.residue[0] ** 2 / rmat.gap
 
     assert scalar_r(pole - delta) < 0
     assert scalar_r(pole + delta) > 0

@@ -2,11 +2,11 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from openbilliards.leads import IllConditionedEnergy
 from openbilliards.oned import (
     BarrierProblem,
     barrier_smatrix,
@@ -107,17 +107,28 @@ def test_diagonal_decreases_between_poles():
     lo = 1.0 + math.pi**2
     hi = 1.0 + 4.0 * math.pi**2
     grid = np.linspace(lo + 0.5, hi - 0.5, 25)
-    values = [reaction_matrix(e_val, prob)[1, 1] for e_val in grid]
+    values = []
+    for e_val in grid:
+        rmat = reaction_matrix(e_val, prob)
+        values.append(rmat.regular[1, 1] + rmat.residue[1] ** 2 / rmat.gap)
     assert np.all(np.diff(values) < 0.0)
 
 
-def test_pole_guard_raises():
+@pytest.mark.parametrize("energy", [1.0, 1.0 + math.pi**2])
+def test_interior_levels_are_computed(energy):
+    # E = V0 is the m = 0 level, 1 + pi^2 the m = 1 level
     prob = BarrierProblem(height=1.0)
-    with pytest.raises(IllConditionedEnergy) as info:
-        reaction_matrix(1.0 + math.pi**2, prob)
-    assert info.value.reason == "pole"
-    with pytest.raises(IllConditionedEnergy):
-        rmatrix_transmission(1.0, prob)  # m = 0 level sits at E = V0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smat = barrier_smatrix(energy, prob)
+        rmat = reaction_matrix(energy, prob)
+        near = [rmatrix_transmission(energy * f, prob) for f in (1 - 1e-9, 1 + 1e-9)]
+    assert rmat.gap == 0.0
+    assert np.all(np.isfinite(smat))
+    assert np.max(np.abs(smat @ smat.conj().T - np.eye(2))) < 1e-13
+    t_at = float(abs(smat[1, 0]) ** 2)
+    assert max(abs(t - t_at) for t in near) < 1e-6
+    assert abs(t_at - exact_transmission(energy, 1.0)) < 1e-3
 
 
 def test_input_validation():
@@ -136,16 +147,10 @@ def test_full_energy_scan_accuracy_and_speed():
     energies = np.linspace(0.1, 20.0, 200)
     start = time.perf_counter()
     worst = 0.0
-    kept = 0
     for e_val in energies:
-        try:
-            t_rm = rmatrix_transmission(e_val, prob)
-        except IllConditionedEnergy:
-            continue
-        kept += 1
+        t_rm = rmatrix_transmission(e_val, prob)
         worst = max(worst, abs(t_rm - exact_transmission(e_val, prob.height)))
     elapsed = time.perf_counter() - start
-    assert kept >= 195
     assert worst <= 1e-3
     assert elapsed < 1.0
 
@@ -154,14 +159,15 @@ def test_comparison_csv(tmp_path):
     prob = BarrierProblem(height=1.0, m_trunc=200)
     path = tmp_path / "barrier.csv"
     energies = [0.5, 1.0, 2.0, 4.0]  # E = 1.0 is the m = 0 pole
-    rows = write_comparison_csv(path, prob, energies, ("units: E absolute",))
-    assert rows == 3
+    worst = write_comparison_csv(path, prob, energies, ("units: E absolute",))
     lines = path.read_text().splitlines()
     assert lines[0] == "# units: E absolute"
     assert lines[1] == "E,T_exact,T_rmatrix"
-    assert any(l.startswith("# skipped E=1 ") for l in lines)
+    assert sum(l.startswith("#") for l in lines) == 1
     data = np.genfromtxt(
         [l for l in lines if not l.startswith("#")], delimiter=",", names=True
     )
-    assert data["E"].tolist() == [0.5, 2.0, 4.0]
+    assert data["E"].tolist() == energies
     np.testing.assert_allclose(data["T_exact"], data["T_rmatrix"], atol=5e-3)
+    written = np.max(np.abs(data["T_exact"] - data["T_rmatrix"]))
+    assert worst == pytest.approx(written, rel=1e-9, abs=1e-11)

@@ -2,13 +2,20 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from openbilliards.cavity import BasisSpec, solve_cavity
 from openbilliards.geometry import make_rectangle, make_reference_cavity
-from openbilliards.leads import LeadSpace, channel_space, overlaps, r_matrix
+from openbilliards.leads import (
+    LeadSpace,
+    ReactionMatrix,
+    channel_space,
+    overlaps,
+    r_matrix,
+)
 from openbilliards.scattering import (
     cayley_smatrix,
     conductance,
@@ -33,8 +40,14 @@ def lead_space_1d(k):
     return LeadSpace(energy=k * k, lead_width=1.0, wavevectors=np.array([k]))
 
 
+def finite(rmat):
+    """A finite reaction matrix: no pole term."""
+    rmat = np.asarray(rmat, dtype=float)
+    return ReactionMatrix(regular=rmat, residue=np.zeros(rmat.shape[0]), gap=1.0)
+
+
 def test_hard_wall_limit_reflects_with_dirichlet_phase():
-    smat = cayley_smatrix(np.zeros((4, 4)), np.array([1.0, 2.0, 1.0, 2.0]))
+    smat = cayley_smatrix(finite(np.zeros((4, 4))), np.array([1.0, 2.0, 1.0, 2.0]))
     assert np.array_equal(smat, -np.eye(4))
 
 
@@ -43,10 +56,53 @@ def test_cayley_unitary_and_symmetric():
     rmat = rng.normal(size=(6, 6))
     rmat = 0.5 * (rmat + rmat.T)
     k = rng.uniform(0.5, 3.0, size=6)
-    smat = cayley_smatrix(rmat, k)
+    smat = cayley_smatrix(finite(rmat), k)
     assert np.array_equal(smat, smat.T)
     defect = np.max(np.abs(smat @ smat.conj().T - np.eye(6)))
     assert defect < 1e-12
+
+
+def test_split_pole_matches_the_dense_sum():
+    # Away from the pole the split form is the plain Cayley image of
+    # regular + outer(residue, residue) / gap.
+    rng = np.random.default_rng(5)
+    regular = rng.normal(size=(6, 6))
+    regular = 0.5 * (regular + regular.T)
+    residue = rng.normal(size=6)
+    k = rng.uniform(0.5, 3.0, size=6)
+    for gap in (0.3, -2.0, 1e-3):
+        split = cayley_smatrix(ReactionMatrix(regular, residue, gap), k)
+        dense = cayley_smatrix(finite(regular + np.outer(residue, residue) / gap), k)
+        assert np.max(np.abs(split - dense)) < 1e-12
+
+
+def test_cayley_on_the_pole_is_finite_and_continuous():
+    rng = np.random.default_rng(7)
+    regular = rng.normal(size=(4, 4))
+    regular = 0.5 * (regular + regular.T)
+    residue = rng.normal(size=4)
+    k = np.array([0.7, 1.9, 0.7, 1.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at = cayley_smatrix(ReactionMatrix(regular, residue, 0.0), k)
+        for gap in (-1e-9, 1e-9):
+            near = cayley_smatrix(ReactionMatrix(regular, residue, gap), k)
+            assert np.max(np.abs(near - at)) < 1e-7
+        # a level that does not couple to the channels drops out
+        decoupled = cayley_smatrix(ReactionMatrix(regular, np.zeros(4), 0.0), k)
+    assert np.max(np.abs(at @ at.conj().T - np.eye(4))) < 1e-13
+    assert np.array_equal(decoupled, cayley_smatrix(finite(regular), k))
+
+
+def test_closed_channel_at_threshold_carries_no_flux():
+    rng = np.random.default_rng(9)
+    rmat = rng.normal(size=(4, 4))
+    smat = cayley_smatrix(finite(rmat + rmat.T), np.array([1.3, 0.0, 1.3, 0.0]))
+    assert smat[1, 1] == -1.0 and smat[3, 3] == -1.0
+    assert np.all(smat[[1, 3]][:, [0, 2]] == 0.0)
+    assert np.max(np.abs(smat @ smat.conj().T - np.eye(4))) < 1e-13
+    with pytest.raises(ValueError):
+        cayley_smatrix(finite(rmat), np.array([1.0, -1e-3, 1.0, 1.0]))
 
 
 def test_free_guide_closed_form_reaction_matrix():
@@ -59,7 +115,7 @@ def test_free_guide_closed_form_reaction_matrix():
             [1.0 / math.sin(k), math.cos(k) / math.sin(k)],
         ]
     ) / k
-    smat = s_from_r(rmat, lead_space_1d(k), cavity_length=1.0)
+    smat = s_from_r(finite(rmat), lead_space_1d(k), cavity_length=1.0)
     assert abs(smat.r[0, 0]) < 1e-13
     assert smat.t[0, 0] == pytest.approx(np.exp(1j * k), abs=1e-13)
     assert smat.unitarity_defect < 1e-13
@@ -73,15 +129,15 @@ def test_global_phase_reference_strips_propagation():
             [1.0 / math.sin(k), math.cos(k) / math.sin(k)],
         ]
     ) / k
-    smat = s_from_r(rmat, lead_space_1d(k), 1.0, phase_reference="global")
+    smat = s_from_r(finite(rmat), lead_space_1d(k), 1.0, phase_reference="global")
     assert smat.t[0, 0] == pytest.approx(1.0 + 0j, abs=1e-13)
     with pytest.raises(ValueError):
-        s_from_r(rmat, lead_space_1d(k), 1.0, phase_reference="midpoint")
+        s_from_r(finite(rmat), lead_space_1d(k), 1.0, phase_reference="midpoint")
 
 
 def test_zero_reaction_matrix_blocks():
     space = channel_space((2.5 * math.pi) ** 2, 1.0)
-    smat = s_from_r(np.zeros((4, 4)), space, cavity_length=1.0)
+    smat = s_from_r(finite(np.zeros((4, 4))), space, cavity_length=1.0)
     assert np.array_equal(smat.r, -np.eye(2))
     assert np.array_equal(smat.t, np.zeros((2, 2)))
     assert conductance(smat) == 0.0
@@ -122,26 +178,49 @@ def test_symmetric_cavity_has_equal_left_right_blocks():
     assert np.max(np.abs(smat.t - smat.t_prime)) < 1e-8
 
 
-def test_sweep_skips_thresholds_and_keeps_closed_points(guide_solution):
+def test_sweep_computes_thresholds_and_closed_points(guide_solution):
     grid = np.array([0.5, 1.0, 1.3, 2.0, 2.4])
     result = sweep_conductance(guide_solution, grid)
-    assert [round(k, 6) for k, _ in result.skipped] == [1.0, 2.0]
-    assert all(reason == "threshold" for _, reason in result.skipped)
-    assert result.k.tolist() == [0.5, 1.3, 2.4]
-    assert result.n_open.tolist() == [0, 1, 2]
+    assert result.k.tolist() == grid.tolist()
+    assert result.n_open.tolist() == [0, 1, 1, 2, 2]
     assert result.transmission[0] == 0.0
     assert result.t_blocks[0].shape == (0, 0)
-    assert abs(result.transmission[1] - 1.0) < 1e-3
-    assert abs(result.transmission[2] - 2.0) < 1e-3
+    # a channel opening exactly at k carries no flux yet
+    assert result.transmission[1] == 0.0
+    assert np.all(result.t_blocks[3][1, :] == 0.0)
+    assert np.all(result.t_blocks[3][:, 1] == 0.0)
+    assert abs(result.transmission[2] - 1.0) < 1e-3
+    assert abs(result.transmission[3] - 1.0) < 1e-3
+    assert abs(result.transmission[4] - 2.0) < 1e-3
+    assert np.all(result.unitarity_defect < 1e-12)
 
 
-def test_sweep_skips_cavity_poles(guide_solution):
+def sweep_around(solution, k_val):
+    """Sweep at k and at k(1 -/+ 1e-9), with every warning an error."""
+    grid = k_val * np.array([1.0, 1.0 - 1e-9, 1.0 + 1e-9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return sweep_conductance(solution, grid)
+
+
+def test_sweep_on_a_cavity_level(guide_solution):
     width = guide_solution.profile.lead_width
-    pole_energy = float(guide_solution.energies[40])
-    k_val = width * math.sqrt(pole_energy) / math.pi
-    result = sweep_conductance(guide_solution, np.array([k_val]))
-    assert result.k.size == 0
-    assert result.skipped[0][1] in ("pole", "threshold")
+    k_val = width * math.sqrt(float(guide_solution.energies[40])) / math.pi
+    result = sweep_around(guide_solution, k_val)
+    assert np.all(np.isfinite(result.transmission))
+    assert np.all(result.unitarity_defect < 1e-12)
+    assert np.max(np.abs(result.transmission[1:] - result.transmission[0])) < 1e-6
+
+
+def test_sweep_on_a_channel_threshold():
+    # the reference cavity's neck makes T continuous through a threshold,
+    # unlike the clean guide's staircase
+    sol = solve_cavity(make_reference_cavity(samples=1024), BasisSpec(30, 16), 200)
+    result = sweep_around(sol, 5.0)
+    assert result.n_open.tolist() == [5, 4, 5]
+    assert np.all(result.t_blocks[0][4, :] == 0.0)
+    assert np.all(result.unitarity_defect < 1e-12)
+    assert np.max(np.abs(result.transmission[1:] - result.transmission[0])) < 1e-6
 
 
 def test_sweep_channel_validation(guide_solution):
@@ -160,14 +239,14 @@ def test_sweep_csv_roundtrip(tmp_path, guide_solution):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path, header_lines=("units: k in pi/w",))
     text = path.read_text()
-    assert "# units: k in pi/w" in text
-    assert "# skipped k=1 reason=threshold" in text
+    comments = [l for l in text.splitlines() if l.startswith("#")]
+    assert comments == ["# units: k in pi/w"]
     body = "\n".join(l for l in text.splitlines() if not l.startswith("#"))
     rows = np.genfromtxt(io.StringIO(body), delimiter=",", names=True)
     assert rows.shape[0] == grid.size
-    defects = rows["unitarity_defect"]
-    assert np.isnan(defects[1])  # k = 1.0 interpolated
-    assert np.all(np.isfinite(rows["T"]))
+    np.testing.assert_allclose(rows["T"], result.transmission, rtol=1e-11, atol=1e-15)
+    assert rows["N_open"].tolist() == result.n_open.tolist()
+    assert np.all(np.isfinite(rows["unitarity_defect"]))
     write_sweep_csv(result, tmp_path / "again.csv", header_lines=("units: k in pi/w",))
     assert (tmp_path / "again.csv").read_text() == text
 

@@ -126,7 +126,7 @@ def test_length_spectrum_rejects_bad_input():
         length_spectrum(ragged)
 
 
-def synthetic_sweep(width=1.0, drop_index=None):
+def synthetic_sweep(width=1.0):
     """Sweep over k in pi/w units with a known analytic 2x2 t block."""
     grid = np.linspace(2.05, 2.85, 17)
     scale = math.pi / width
@@ -140,24 +140,17 @@ def synthetic_sweep(width=1.0, drop_index=None):
             ]
         )
 
-    kept = [i for i in range(grid.size) if i != drop_index]
-    k = grid[kept]
-    blocks = tuple(block(val) for val in k)
+    blocks = tuple(block(val) for val in grid)
     transmission = np.array([np.sum(np.abs(b) ** 2) for b in blocks])
-    skipped = ()
-    if drop_index is not None:
-        skipped = ((float(grid[drop_index]), "pole"),)
     return SweepResult(
         lead_width=width,
         cavity_length=3.0,
         phase_reference="interface",
-        k_requested=grid,
-        k=k,
+        k=grid,
         transmission=transmission,
-        n_open=np.full(k.size, 2, dtype=np.int64),
-        unitarity_defect=np.zeros(k.size),
+        n_open=np.full(grid.size, 2, dtype=np.int64),
+        unitarity_defect=np.zeros(grid.size),
         t_blocks=blocks,
-        skipped=skipped,
     )
 
 
@@ -166,22 +159,9 @@ def test_uniform_series_extracts_blocks_and_scales_k():
     result = synthetic_sweep(width=width)
     series = uniform_series(result, (2.05, 2.85), n_modes=2)
     assert series.k.shape == (17,)
-    np.testing.assert_allclose(series.k, result.k_requested * math.pi / width)
+    np.testing.assert_allclose(series.k, result.k * math.pi / width)
     for i in range(17):
         np.testing.assert_array_equal(series.samples[i], result.t_blocks[i])
-
-
-def test_uniform_series_interpolates_skipped_points():
-    result = synthetic_sweep(drop_index=8)
-    series = uniform_series(result, (2.05, 2.85), n_modes=2)
-    grid = result.k_requested
-    left = result.t_blocks[7]
-    right = result.t_blocks[8]  # index 8 of the kept list is grid point 9
-    frac = (grid[8] - grid[7]) / (grid[9] - grid[7])
-    expected = left + frac * (right - left)
-    np.testing.assert_allclose(series.samples[8], expected, atol=1e-14)
-    # Computed neighbors are taken verbatim.
-    np.testing.assert_array_equal(series.samples[7], left)
 
 
 def test_uniform_series_validates_window_and_channels():
@@ -193,19 +173,17 @@ def test_uniform_series_validates_window_and_channels():
     with pytest.raises(ValueError, match="empty window"):
         uniform_series(result, (2.85, 2.05), n_modes=2)
     ragged = synthetic_sweep()
-    bent = ragged.k_requested.copy()
+    bent = ragged.k.copy()
     bent[5] += 0.01
     bent_result = SweepResult(
         lead_width=ragged.lead_width,
         cavity_length=ragged.cavity_length,
         phase_reference=ragged.phase_reference,
-        k_requested=bent,
         k=bent,
         transmission=ragged.transmission,
         n_open=ragged.n_open,
         unitarity_defect=ragged.unitarity_defect,
         t_blocks=ragged.t_blocks,
-        skipped=(),
     )
     with pytest.raises(ValueError, match="not uniform"):
         uniform_series(bent_result, (2.05, 2.85), n_modes=2)
