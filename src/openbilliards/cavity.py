@@ -32,7 +32,6 @@ matrix; other walls take the generic full-matrix path.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -235,11 +234,6 @@ class BasisSpec:
     @property
     def size(self) -> int:
         return self.m_max * self.n_max
-
-    def flat_index(self, n: int, m: int) -> int:
-        if not (1 <= n <= self.n_max and 0 <= m < self.m_max):
-            raise IndexError(f"mode (n={n}, m={m}) outside basis {self.n_max}x{self.m_max}")
-        return (n - 1) * self.m_max + m
 
 
 def axial_norms(m_max: int, length: float) -> Array:
@@ -518,80 +512,68 @@ def eval_wavefunction(
 # Solution cache
 # ---------------------------------------------------------------------------
 
-_HEADER_LEN = 4
+# Version of the entry layout written below; load_solution reads no other.
+CACHE_FORMAT = 3
 
 
 def save_solution(solution: CavitySolution, directory) -> None:
-    """Persist energies (CSV) and coefficients (flat float64 binary).
+    """Persist a solution as ``energies.npy``, ``coeffs.npy`` and ``meta.json``.
 
-    The binary starts with a 4-value float64 header: m_max, n_max, k_keep,
-    length; the coefficient rows follow in flat order. The files are written
-    to a temporary sibling directory that is then renamed into place, so a
-    crash never leaves a partial entry at `directory`, which must be absent
-    or empty.
+    meta.json records the format version, the geometry hash, the lead width,
+    the basis counts and the cavity length. The files are written to a
+    temporary sibling directory that is then renamed into place, so a crash
+    never leaves a partial entry at `directory`, which must be absent or
+    empty.
     """
+    meta = {
+        "format": CACHE_FORMAT,
+        "profile_hash": solution.profile.content_hash(),
+        "lead_width": solution.profile.lead_width,
+        "m_max": solution.basis.m_max,
+        "n_max": solution.basis.n_max,
+        "length": solution.profile.length,
+    }
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
     try:
-        _write_solution(solution, staging)
+        np.save(staging / "energies.npy", solution.energies)
+        np.save(staging / "coeffs.npy", solution.coeffs)
+        with open(staging / "meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2)
         os.replace(staging, directory)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
 
 
-def _write_solution(solution: CavitySolution, directory: Path) -> None:
-    with open(directory / "energies.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "energy"])
-        for i, e in enumerate(solution.energies):
-            writer.writerow([i, f"{e:.17g}"])
-    header = np.array(
-        [solution.basis.m_max, solution.basis.n_max, solution.k_keep, solution.profile.length],
-        dtype=np.float64,
-    )
-    with open(directory / "coeffs.bin", "wb") as fh:
-        header.tofile(fh)
-        solution.coeffs.astype(np.float64).tofile(fh)
-    with open(directory / "meta.json", "w") as fh:
-        json.dump(
-            {
-                "profile_hash": solution.profile.content_hash(),
-                "lead_width": solution.profile.lead_width,
-            },
-            fh,
-            indent=2,
-        )
-
-
 def load_solution(directory, profile: BoundaryProfile) -> CavitySolution:
-    """Rebuild a solution from `save_solution` output for the same geometry."""
+    """Rebuild a solution from `save_solution` output for the same geometry.
+
+    An entry in another format or of another geometry raises ValueError, as
+    does one with a key missing from meta.json or arrays of the wrong shape.
+    """
     directory = Path(directory)
-    raw = np.fromfile(directory / "coeffs.bin", dtype=np.float64)
-    m_max, n_max, k_keep = (int(v) for v in raw[:3])
-    expected = _HEADER_LEN + k_keep * m_max * n_max
-    if raw.size != expected:
-        raise ValueError(f"coeffs.bin holds {raw.size} values, its header implies {expected}")
-    length = float(raw[3])
+    with open(directory / "meta.json") as fh:
+        meta = json.load(fh)
+    if meta.get("format") != CACHE_FORMAT:
+        raise ValueError(f"cache format {meta.get('format')!r}, this code reads {CACHE_FORMAT}")
+    missing = sorted({"profile_hash", "length", "m_max", "n_max"} - set(meta))
+    if missing:
+        raise ValueError(f"meta.json lacks {', '.join(missing)}")
+    if meta["profile_hash"] != profile.content_hash():
+        raise ValueError("cached solution belongs to a different geometry")
+    length = meta["length"]
     if abs(length - profile.length) > 1e-12 * max(1.0, profile.length):
         raise ValueError(
             f"cached length {length} does not match profile length {profile.length}"
         )
-    meta_path = directory / "meta.json"
-    if meta_path.exists():
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        if meta.get("profile_hash") not in (None, profile.content_hash()):
-            raise ValueError("cached solution belongs to a different geometry")
-    basis = BasisSpec(m_max=m_max, n_max=n_max)
-    coeffs = raw[_HEADER_LEN:].reshape(k_keep, basis.size)
-    energies = np.loadtxt(directory / "energies.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
-    if energies.size != k_keep:
-        raise ValueError(f"energies.csv holds {energies.size} rows, coeffs.bin {k_keep}")
-    return CavitySolution(
-        profile=profile,
-        basis=basis,
-        energies=np.ascontiguousarray(energies),
-        coeffs=np.ascontiguousarray(coeffs),
-    )
+    basis = BasisSpec(m_max=meta["m_max"], n_max=meta["n_max"])
+    energies = np.load(directory / "energies.npy")
+    coeffs = np.load(directory / "coeffs.npy")
+    if energies.ndim != 1 or coeffs.shape != (energies.size, basis.size):
+        raise ValueError(
+            f"energies.npy {energies.shape} and coeffs.npy {coeffs.shape} "
+            f"do not fit a {basis.m_max}x{basis.n_max} basis"
+        )
+    return CavitySolution(profile=profile, basis=basis, energies=energies, coeffs=coeffs)

@@ -63,6 +63,7 @@ from .spectra import (
     write_amplitude_csv,
     write_power_csv,
 )
+from .tables import write_table
 from .twobody import (
     InteractionSpec,
     contact_regularized,
@@ -74,10 +75,6 @@ from .twobody import (
 logger = logging.getLogger("openbilliards.cli")
 
 CACHE_ENV = "OPENBILLIARDS_CACHE"
-
-# Part of every cache key; bump it when the solve path or the store format
-# changes, so entries written by older code are not reused.
-CACHE_FORMAT = 2
 
 DEFAULT_CONFIG = {
     "geometry": {
@@ -244,7 +241,7 @@ def get_solution(cfg):
     b = cfg["basis"]
     basis = BasisSpec(m_max=b["m_max"], n_max=b["n_max"])
     k_keep = b["k_keep"]
-    key_src = f"v{CACHE_FORMAT}:{profile.content_hash()}:{basis.m_max}:{basis.n_max}:{k_keep}"
+    key_src = f"{profile.content_hash()}:{basis.m_max}:{basis.n_max}:{k_keep}"
     key = hashlib.sha256(key_src.encode()).hexdigest()[:20]
     slot = _cache_dir(cfg) / key
     if cfg["cache"] and (slot / "meta.json").exists():
@@ -272,12 +269,10 @@ def _outdir(cfg):
 def cmd_solve_cavity(cfg) -> int:
     solution = get_solution(cfg)
     out = _outdir(cfg) / "energies.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        for line in header_lines(cfg):
-            fh.write(f"# {line}\n")
-        fh.write("index,energy\n")
-        for i, e_val in enumerate(solution.energies):
-            fh.write(f"{i},{e_val:.12g}\n")
+    write_table(
+        out, header_lines(cfg), ("index", "energy"), ("d", ".12g"),
+        np.arange(solution.k_keep), solution.energies,
+    )
     print(f"wrote {out} ({solution.k_keep} levels)")
     return 0
 

@@ -18,6 +18,7 @@ from numpy.typing import NDArray
 
 from .leads import ReactionMatrix
 from .scattering import cayley_smatrix
+from .tables import write_table
 
 Array = NDArray[np.float64]
 
@@ -108,14 +109,10 @@ def write_comparison_csv(path, problem, energies, header_lines=()) -> float:
 
     Returns the largest |T_exact - T_rmatrix| written (0 for no energies).
     """
-    worst = 0.0
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("E,T_exact,T_rmatrix\n")
-        for e_val in np.asarray(energies, dtype=float):
-            t_rm = rmatrix_transmission(e_val, problem)
-            t_ex = exact_transmission(e_val, problem.height)
-            fh.write(f"{e_val:.12g},{t_ex:.12g},{t_rm:.12g}\n")
-            worst = max(worst, abs(t_ex - t_rm))
-    return worst
+    energies = np.asarray(energies, dtype=float)
+    t_ex = np.array([exact_transmission(e, problem.height) for e in energies])
+    t_rm = np.array([rmatrix_transmission(e, problem) for e in energies])
+    write_table(
+        path, header_lines, ("E", "T_exact", "T_rmatrix"), (".12g",) * 3, energies, t_ex, t_rm
+    )
+    return float(np.max(np.abs(t_ex - t_rm), initial=0.0))

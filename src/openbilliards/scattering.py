@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .cavity import CavitySolution
 from .leads import LeadSpace, ReactionMatrix, channel_space, overlaps, r_matrix
+from .tables import write_table
 
 Array = NDArray[np.float64]
 CArray = NDArray[np.complex128]
@@ -221,35 +221,27 @@ def sweep_conductance(
 
 def write_sweep_csv(result: SweepResult, path, header_lines=()) -> None:
     """Write one row per sweep point: k, T, N_open, unitarity defect."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("k_over_piw,T,N_open,unitarity_defect\n")
-        for k_val, t_val, n_val, defect in zip(
-            result.k, result.transmission, result.n_open, result.unitarity_defect
-        ):
-            fh.write(f"{k_val:.12g},{t_val:.12g},{n_val:d},{defect:.6g}\n")
+    write_table(
+        path, header_lines, ("k_over_piw", "T", "N_open", "unitarity_defect"),
+        (".12g", ".12g", "d", ".6g"),
+        result.k, result.transmission, result.n_open, result.unitarity_defect,
+    )
 
 
 def write_t_store(result: SweepResult, path) -> None:
-    """Binary record stream: per point float64 k, int64 N, then N*N complex."""
+    """Three .npy arrays back to back: k, n_open (int64), then every t block
+    raveled and concatenated in sweep order."""
     with open(path, "wb") as fh:
-        np.asarray([result.k.size], dtype=np.int64).tofile(fh)
-        for k_val, block in zip(result.k, result.t_blocks):
-            np.asarray([k_val], dtype=np.float64).tofile(fh)
-            np.asarray([block.shape[0]], dtype=np.int64).tofile(fh)
-            np.ascontiguousarray(block, dtype=np.complex128).tofile(fh)
+        np.save(fh, result.k)
+        np.save(fh, np.asarray(result.n_open, dtype=np.int64))
+        np.save(fh, np.concatenate([b.ravel() for b in result.t_blocks], dtype=np.complex128))
 
 
 def read_t_store(path) -> tuple[Array, list[CArray]]:
-    """Inverse of write_t_store."""
-    path = Path(path)
+    """Inverse of write_t_store: the grid and one n_open x n_open block per point."""
     with open(path, "rb") as fh:
-        count = int(np.fromfile(fh, dtype=np.int64, count=1)[0])
-        ks, blocks = [], []
-        for _ in range(count):
-            ks.append(float(np.fromfile(fh, dtype=np.float64, count=1)[0]))
-            n = int(np.fromfile(fh, dtype=np.int64, count=1)[0])
-            block = np.fromfile(fh, dtype=np.complex128, count=n * n)
-            blocks.append(block.reshape(n, n))
-    return np.asarray(ks), blocks
+        ks, n_open, flat = np.load(fh), np.load(fh), np.load(fh)
+    sizes = n_open**2
+    if n_open.shape != ks.shape or sizes.sum() != flat.size:
+        raise ValueError(f"{path}: {ks.size} points, {n_open.size} counts, {flat.size} values")
+    return ks, [b.reshape(n, n) for b, n in zip(np.split(flat, np.cumsum(sizes)[:-1]), n_open)]

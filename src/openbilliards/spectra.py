@@ -18,6 +18,7 @@ from numpy.typing import NDArray
 from scipy.signal import find_peaks
 
 from .scattering import SweepResult
+from .tables import write_table
 
 Array = NDArray[np.float64]
 CArray = NDArray[np.complex128]
@@ -142,20 +143,11 @@ def peak_positions(
 
 def write_amplitude_csv(path, lengths: Array, amplitude: CArray, header_lines=()):
     """One t_nm(L) series: columns L, Re, Im, modulus."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("L,re_t,im_t,abs_t\n")
-        for l_val, amp in zip(lengths, amplitude):
-            fh.write(
-                f"{l_val:.12g},{amp.real:.12g},{amp.imag:.12g},{abs(amp):.12g}\n"
-            )
+    write_table(
+        path, header_lines, ("L", "re_t", "im_t", "abs_t"), (".12g",) * 4,
+        lengths, amplitude.real, amplitude.imag, np.abs(amplitude),
+    )
 
 
 def write_power_csv(path, lengths: Array, power: Array, header_lines=()):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("L,P\n")
-        for l_val, p_val in zip(lengths, power):
-            fh.write(f"{l_val:.12g},{p_val:.12g}\n")
+    write_table(path, header_lines, ("L", "P"), (".12g", ".12g"), lengths, power)

@@ -21,6 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cavity import CavitySolution, axial_norms, eval_wavefunction
+from .tables import write_table
 
 Array = NDArray[np.float64]
 
@@ -109,27 +110,36 @@ def _state_values(solution, states, u, v):
     return vals.reshape(len(states), u.size * v.size)
 
 
-def _potential_matrix(spec, x, y):
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    if spec.mode == "euclidean":
-        vm = spec.potential(np.hypot(dx, dy))
-    else:
-        vm = spec.potential(np.abs(dx), np.abs(dy))
-    vm = np.asarray(vm, dtype=float)
-    if vm.shape != (x.size, x.size):
-        raise ValueError("potential must evaluate elementwise on arrays")
-    return vm
+# Rows per block of the potential matrix, which is never held whole: at
+# q = 80 (6400 points) each temporary is 26 MB instead of 328 MB.
+_BLOCK_ROWS = 512
+
+
+def _contract(spec, x, y, left, right):
+    """left @ V @ right.T, V the potential between grid points, built in row blocks."""
+    out = np.zeros((left.shape[0], right.shape[0]))
+    for start in range(0, x.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        dx = x[rows, None] - x[None, :]
+        dy = y[rows, None] - y[None, :]
+        if spec.mode == "euclidean":
+            vm = spec.potential(np.hypot(dx, dy))
+        else:
+            vm = spec.potential(np.abs(dx), np.abs(dy))
+        vm = np.asarray(vm, dtype=float)
+        if vm.shape != dx.shape:
+            raise ValueError("potential must evaluate elementwise on arrays")
+        out += left[:, rows] @ (vm @ right.T)
+    return out
 
 
 def _pair_block(solution, states, spec, q):
     """G[(i,k),(j,l)] = sum over both grids of phi_i phi_k V phi_j phi_l."""
     x, y, w2, u, v, _ = _gauss_grid(solution.profile, q)
     phi = _state_values(solution, states, u, v)
-    vm = _potential_matrix(spec, x, y)
     ns = len(states)
     f = (phi[:, None, :] * phi[None, :, :]).reshape(ns * ns, x.size) * w2
-    g = f @ vm @ f.T
+    g = _contract(spec, x, y, f, f)
     return 0.5 * (g + g.T)
 
 
@@ -232,16 +242,13 @@ def h_ijkl_direct(
     psi = {
         s: eval_wavefunction(solution, s, x, y) for s in set((i, j, k, l))
     }
-    vm = _potential_matrix(spec, x, y)
     f_ik = psi[i] * psi[k] * w2 * jac
     f_jl = psi[j] * psi[l] * w2 * jac
-    return float(f_ik @ vm @ f_jl)
+    return float(_contract(spec, x, y, f_ik[None, :], f_jl[None, :])[0, 0])
 
 
 def write_pair_energies_csv(path, energies, header_lines=()):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("index,E_pair\n")
-        for idx, e_val in enumerate(np.asarray(energies, dtype=float)):
-            fh.write(f"{idx},{e_val:.12g}\n")
+    energies = np.asarray(energies, dtype=float)
+    write_table(
+        path, header_lines, ("index", "E_pair"), ("d", ".12g"), np.arange(energies.size), energies
+    )

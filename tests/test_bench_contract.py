@@ -9,7 +9,7 @@ import importlib
 import numpy as np
 import pytest
 
-from openbilliards.cavity import BasisSpec, solve_cavity
+from openbilliards.cavity import BasisSpec, save_solution, solve_cavity
 from openbilliards.geometry import make_rectangle
 from openbilliards.scattering import read_t_store, sweep_conductance, write_t_store
 
@@ -58,3 +58,15 @@ def test_sweep_result_fields_and_t_store(tmp_path):
     ks, blocks = read_t_store(path)
     assert np.array_equal(ks, result.k)
     assert all(np.array_equal(a, b) for a, b in zip(blocks, result.t_blocks))
+    # the read-back check compares blocks bitwise, so dtype and shape must hold
+    assert 0 in result.n_open
+    for block, n in zip(blocks, result.n_open):
+        assert block.dtype == np.complex128 and block.shape == (n, n)
+
+
+def test_save_solution_fills_its_directory(tmp_path):
+    # the cache byte counts walk the directory given to save_solution
+    solution = solve_cavity(make_rectangle(1.0, 0.25, samples=256), BasisSpec(9, 8), 72)
+    save_solution(solution, tmp_path / "entry")
+    files = [p for p in (tmp_path / "entry").rglob("*") if p.is_file()]
+    assert sum(p.stat().st_size for p in files) > solution.coeffs.nbytes

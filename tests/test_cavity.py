@@ -5,6 +5,7 @@ Gauss-Legendre grid without any of the FFT/product-to-sum machinery, so the
 two paths share nothing but the basis definition.
 """
 
+import json
 import math
 
 import numpy as np
@@ -339,26 +340,56 @@ def test_solution_roundtrip(tmp_path):
     assert back.basis == sol.basis
     # written in a staging directory that was renamed into place
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "coeffs.npy", "energies.npy", "meta.json"
+    ]
+    save_solution(sol, tmp_path / "again")
+    for name in ("coeffs.npy", "energies.npy", "meta.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "cache" / name).read_bytes()
 
 
-def test_solution_cache_rejects_truncated_coefficients(tmp_path):
+@pytest.fixture
+def saved_entry(tmp_path):
     profile = make_reference_cavity(samples=512)
-    sol = solve_cavity(profile, BasisSpec(10, 6), k_keep=12)
-    save_solution(sol, tmp_path / "cache")
-    path = tmp_path / "cache" / "coeffs.bin"
-    path.write_bytes(path.read_bytes()[:-8 * sol.basis.size])
-    with pytest.raises(ValueError, match="header implies"):
-        load_solution(tmp_path / "cache", profile)
+    save_solution(solve_cavity(profile, BasisSpec(10, 6), k_keep=12), tmp_path / "cache")
+    return tmp_path / "cache", profile
 
 
-def test_solution_cache_rejects_truncated_energies(tmp_path):
-    profile = make_reference_cavity(samples=512)
-    sol = solve_cavity(profile, BasisSpec(10, 6), k_keep=12)
-    save_solution(sol, tmp_path / "cache")
-    path = tmp_path / "cache" / "energies.csv"
-    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-    with pytest.raises(ValueError, match="energies.csv holds 11 rows"):
-        load_solution(tmp_path / "cache", profile)
+def test_solution_cache_rejects_truncated_coefficients(saved_entry):
+    entry, profile = saved_entry
+    path = entry / "coeffs.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="read all data"):
+        load_solution(entry, profile)
+
+
+def test_solution_cache_rejects_truncated_energies(saved_entry):
+    entry, profile = saved_entry
+    np.save(entry / "energies.npy", np.load(entry / "energies.npy")[:-1])
+    with pytest.raises(ValueError, match=r"energies.npy \(11,\) and coeffs.npy \(12, 60\)"):
+        load_solution(entry, profile)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"format": 2}, "cache format 2"),
+        ({"format": None}, "cache format None"),
+        ({"m_max": None}, "lacks m_max"),
+        ({"profile_hash": None}, "lacks profile_hash"),
+        ({"length": 3.5}, "does not match profile length"),
+    ],
+    ids=["old-format", "no-format", "no-m_max", "no-profile_hash", "other-length"],
+)
+def test_solution_cache_rejects_bad_meta(saved_entry, changes, message):
+    """Set meta.json keys (None deletes one); each entry raises ValueError."""
+    entry, profile = saved_entry
+    meta = json.loads((entry / "meta.json").read_text())
+    meta.update(changes)
+    meta = {key: value for key, value in meta.items() if value is not None}
+    (entry / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=message):
+        load_solution(entry, profile)
 
 
 def test_solution_cache_rejects_other_geometry(tmp_path):

@@ -127,15 +127,16 @@ def test_solve_cavity_cache_and_determinism(tmp_path, caplog, monkeypatch):
     assert np.all(np.diff(energies) >= 0.0)
 
 
-def test_unusable_cache_entry_is_replaced(tmp_path, caplog, monkeypatch):
+def _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, spoil):
+    """Solve once, spoil the entry, and check that the next run solves again
+    into the same slot, writes the same output and then hits the cache."""
     cache = tmp_path / "cachedir"
     monkeypatch.setenv("OPENBILLIARDS_CACHE", str(cache))
     cfg_path = small_rect_config(tmp_path)
     assert main(["--config", cfg_path, "solve-cavity"]) == 0
     first = (tmp_path / "out" / "energies.csv").read_bytes()
     (slot,) = cache.iterdir()
-    energies = slot / "energies.csv"
-    energies.write_text("\n".join(energies.read_text().splitlines()[:-5]) + "\n")
+    spoil(slot)
     with caplog.at_level(logging.INFO, logger="openbilliards.cli"):
         assert main(["--config", cfg_path, "solve-cavity"]) == 0
     assert any("unusable" in r.message for r in caplog.records)
@@ -145,6 +146,23 @@ def test_unusable_cache_entry_is_replaced(tmp_path, caplog, monkeypatch):
     with caplog.at_level(logging.INFO, logger="openbilliards.cli"):
         assert main(["--config", cfg_path, "solve-cavity"]) == 0
     assert any("cache hit" in r.message for r in caplog.records)
+
+
+def test_unusable_cache_entry_is_replaced(tmp_path, caplog, monkeypatch):
+    def truncate_coeffs(slot):
+        coeffs = slot / "coeffs.npy"
+        coeffs.write_bytes(coeffs.read_bytes()[:-40])
+
+    _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, truncate_coeffs)
+
+
+def test_old_format_cache_entry_is_replaced(tmp_path, caplog, monkeypatch):
+    def mark_old_format(slot):
+        meta = json.loads((slot / "meta.json").read_text())
+        meta["format"] -= 1
+        (slot / "meta.json").write_text(json.dumps(meta))
+
+    _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, mark_old_format)
 
 
 def test_sweep_and_spectrum_outputs(tmp_path, monkeypatch):

@@ -252,7 +252,9 @@ def test_sweep_csv_roundtrip(tmp_path, guide_solution):
 
 
 def test_t_store_roundtrip(tmp_path, guide_solution):
-    result = sweep_conductance(guide_solution, np.linspace(1.1, 2.9, 7))
+    # k = 0.5 is below the first threshold: an empty block
+    result = sweep_conductance(guide_solution, np.r_[0.5, np.linspace(1.1, 2.9, 7)])
+    assert result.n_open[0] == 0
     path = tmp_path / "tblocks.bin"
     write_t_store(result, path)
     ks, blocks = read_t_store(path)
@@ -260,6 +262,27 @@ def test_t_store_roundtrip(tmp_path, guide_solution):
     assert len(blocks) == len(result.t_blocks)
     for got, want in zip(blocks, result.t_blocks):
         assert np.array_equal(got, want)
+    write_t_store(result, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_t_store_is_three_npy_arrays(tmp_path, guide_solution):
+    result = sweep_conductance(guide_solution, np.r_[0.5, np.linspace(1.1, 2.9, 7)])
+    path = tmp_path / "tstore.bin"
+    write_t_store(result, path)
+    with open(path, "rb") as fh:
+        ks, n_open, flat = np.load(fh), np.load(fh), np.load(fh)
+        assert fh.read() == b""
+    assert np.array_equal(ks, result.k)
+    assert n_open.dtype == np.int64 and np.array_equal(n_open, result.n_open)
+    assert np.array_equal(flat, np.concatenate([b.ravel() for b in result.t_blocks]))
+    # a count that does not match the values is refused
+    with open(path, "wb") as fh:
+        np.save(fh, ks)
+        np.save(fh, n_open + 1)
+        np.save(fh, flat)
+    with pytest.raises(ValueError, match="values"):
+        read_t_store(path)
 
 
 def test_conductance_bounded(guide_solution):

@@ -8,7 +8,10 @@ import pytest
 from openbilliards.cavity import BasisSpec, solve_cavity
 from openbilliards.geometry import make_rectangle, make_reference_cavity
 from openbilliards.twobody import (
+    _BLOCK_ROWS,
     InteractionSpec,
+    _contract,
+    _gauss_grid,
     contact_regularized,
     gaussian,
     h_ijkl,
@@ -99,6 +102,30 @@ def test_exchange_symmetries_hold_exactly(curved_solution):
     assert np.array_equal(mat, mat.T)
 
 
+@pytest.mark.parametrize("mode", ["euclidean", "components"])
+def test_blocked_contraction_matches_dense_potential(curved_solution, mode):
+    q = 40  # 1600 grid points: several row blocks and a partial last one
+    x, y, w2, _, _, _ = _gauss_grid(curved_solution.profile, q)
+    assert x.size > 2 * _BLOCK_ROWS and x.size % _BLOCK_ROWS
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    if mode == "euclidean":
+        potential = gaussian(0.8, 0.6)
+        dense = potential(np.hypot(dx, dy))
+    else:
+        def potential(ax, ay):
+            return np.exp(-(ax**2) - 2.0 * ay)
+
+        dense = potential(np.abs(dx), np.abs(dy))
+    spec = InteractionSpec(potential=potential, quad_order=q, mode=mode)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(9, x.size)) * w2
+    g = rng.normal(size=(4, x.size)) * w2
+    got = _contract(spec, x, y, f, g)
+    want = f @ dense @ g.T
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_lowest_pair_energy_obeys_perturbation_bounds(rect_solution):
     spec = InteractionSpec(potential=gaussian(0.05, 0.5), quad_order=16)
     states = [0, 1, 2]
@@ -153,6 +180,9 @@ def test_input_validation(rect_solution):
         pair_hamiltonian(rect_solution, [], spec)
     with pytest.raises(ValueError):
         pair_hamiltonian(rect_solution, [0, 0, 1], spec)
+    scalar = InteractionSpec(potential=lambda dist: 1.0, quad_order=8)
+    with pytest.raises(ValueError, match="elementwise"):
+        h_ijkl(rect_solution, 0, 0, 0, 0, scalar)
 
 
 def test_pair_energy_csv(tmp_path, rect_solution):
