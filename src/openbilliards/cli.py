@@ -43,7 +43,7 @@ from .leads import ReactionMatrix, channel_space, overlaps, r_matrix
 from .oned import (
     BarrierProblem,
     exact_transmission,
-    reaction_matrix,
+    lead_space,
     write_comparison_csv,
 )
 from .scattering import (
@@ -58,7 +58,6 @@ from .spectra import (
     SpectrumSeries,
     length_spectrum,
     peak_positions,
-    power_spectrum,
     uniform_series,
     write_amplitude_csv,
     write_power_csv,
@@ -306,9 +305,7 @@ def cmd_sweep(cfg) -> int:
     return 0
 
 
-def cmd_spectrum(cfg, self_test=False) -> int:
-    if self_test:
-        return _spectrum_self_test()
+def cmd_spectrum(cfg) -> int:
     solution = get_solution(cfg)
     result = _run_sweep(cfg, solution)
     out = _outdir(cfg)
@@ -339,27 +336,6 @@ def cmd_spectrum(cfg, self_test=False) -> int:
         )
         print(f"wrote power_{tag}.csv and t11_{tag}.csv; {peak_note}")
     return 0
-
-
-def _spectrum_self_test() -> int:
-    """Synthetic shift-theorem check: e^{ikL0} must peak at L0."""
-    length_true = 7.5
-    k = np.linspace(5.0, 9.0, 321)
-    series = SpectrumSeries(
-        k_window=(5.0, 9.0),
-        lead_width=1.0,
-        k=k,
-        samples=np.exp(1j * k * length_true)[:, None, None],
-    )
-    lengths, amps = length_spectrum(series, pad_factor=8)
-    peak = float(lengths[np.argmax(np.abs(amps[:, 0, 0]))])
-    tol = series.resolution / 4.0
-    ok = abs(peak - length_true) <= tol
-    print(
-        f"shift-theorem self-test: peak {peak:.4f} vs {length_true} "
-        f"(tol {tol:.4f}): {'PASS' if ok else 'FAIL'}"
-    )
-    return 0 if ok else 1
 
 
 def cmd_validate_1d(cfg) -> int:
@@ -450,14 +426,12 @@ def _check_free_guide():
 
 def _check_barrier(inject_fault=False):
     energy, v0 = 2.0, 1.0
-    problem = BarrierProblem(height=v0)
-    rmat = reaction_matrix(energy, problem)
+    space = lead_space(energy)
+    rmat = r_matrix(BarrierProblem(height=v0).table(), space)
     if inject_fault:
         # Negative control: sign error on the m = 0 series term.
         rmat = dataclasses.replace(rmat, regular=rmat.regular - 2.0 / (energy - v0))
-    k = math.sqrt(energy)
-    core = cayley_smatrix(rmat, np.array([k, k]))
-    t_ours = float(abs(core[1, 0]) ** 2)
+    t_ours = conductance(s_from_r(rmat, space, 1.0))
     return abs(t_ours - exact_transmission(energy, v0))
 
 
@@ -467,6 +441,20 @@ def _check_cayley_unitarity():
     rmat = ReactionMatrix(regular=0.5 * (raw + raw.T), residue=np.zeros(6), gap=1.0)
     smat = cayley_smatrix(rmat, np.linspace(1.0, 2.5, 6))
     return float(np.max(np.abs(smat @ smat.conj().T - np.eye(6))))
+
+
+def _check_shift_theorem():
+    """|peak - L0| of the length spectrum of e^{ikL0} over k in [5, 9]."""
+    length_true = 7.5
+    k = np.linspace(5.0, 9.0, 321)
+    series = SpectrumSeries(
+        k_window=(5.0, 9.0),
+        lead_width=1.0,
+        k=k,
+        samples=np.exp(1j * k * length_true)[:, None, None],
+    )
+    lengths, amps = length_spectrum(series, pad_factor=8)
+    return abs(float(lengths[np.argmax(np.abs(amps[:, 0, 0]))]) - length_true)
 
 
 def _check_parseval():
@@ -489,6 +477,8 @@ def run_validation(inject_fault=False):
         ("barrier-rmatrix-vs-exact", 1e-3, lambda: _check_barrier(inject_fault)),
         ("cayley-unitarity", 1e-12, _check_cayley_unitarity),
         ("parseval", 1e-9, _check_parseval),
+        # resolution / 4 of the 5-9 window
+        ("shift-theorem", math.pi / 8.0, _check_shift_theorem),
     ]
     report = []
     for name, tol, fn in checks:
@@ -549,12 +539,7 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve-cavity")
     sub.add_parser("sweep")
-    spectrum = sub.add_parser("spectrum")
-    spectrum.add_argument(
-        "--self-test",
-        action="store_true",
-        help="run the synthetic shift-theorem check and exit",
-    )
+    sub.add_parser("spectrum")
     sub.add_parser("validate-1d")
     validate = sub.add_parser("validate")
     validate.add_argument(
@@ -583,7 +568,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, self_test=args.self_test)
+            return cmd_spectrum(cfg)
         if args.command == "validate-1d":
             return cmd_validate_1d(cfg)
         if args.command == "validate":

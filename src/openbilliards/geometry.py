@@ -21,6 +21,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
+from .tables import write_table
+
 logger = logging.getLogger(__name__)
 
 Array = np.ndarray
@@ -251,29 +253,18 @@ def _smoothstep_slope(t: Array) -> Array:
 
 
 def apply_wiggle(
-    profile: BoundaryProfile,
-    amplitude: float = 0.01,
-    cycles: int = 10,
-    window: tuple[float, float] = (0.45, 0.55),
-    blend_fraction: float = 1.0 / 200.0,
+    profile: BoundaryProfile, amplitude: float = 0.01, cycles: int = 10
 ) -> BoundaryProfile:
     """Superpose a short sinusoidal ripple on the upper wall.
 
     The ripple is ``amplitude * sin(cycles * pi * x / length)`` restricted to
-    ``window[0]*length < x < window[1]*length``.  A smoothstep taper of width
-    ``blend_fraction * length`` just inside each window edge makes the
-    perturbed wall continuously differentiable; outside the window the wall
-    is untouched.
+    ``0.45*length < x < 0.55*length``.  A smoothstep taper of width
+    ``0.005*length`` just inside each window edge makes the perturbed wall
+    continuously differentiable; outside the window the wall is untouched.
     """
     length = profile.length
-    x0, x1 = window[0] * length, window[1] * length
-    eps = blend_fraction * length
-    if not (0.0 <= x0 < x1 <= length):
-        raise GeometryError(f"wiggle window {window} outside the cavity")
-    if 2.0 * eps >= (x1 - x0):
-        raise GeometryError(
-            f"blend width {eps:.3e} too large for window of width {x1 - x0:.3e}"
-        )
+    x0, x1 = 0.45 * length, 0.55 * length
+    eps = 0.005 * length
     amp = float(amplitude)
     freq = cycles * math.pi / length
 
@@ -305,7 +296,7 @@ def apply_wiggle(
         )
 
     meta = dict(profile.meta)
-    meta["wiggle"] = {"amplitude": amp, "cycles": cycles, "window": window}
+    meta["wiggle"] = {"amplitude": amp, "cycles": cycles}
     return _build_profile(
         length,
         profile.samples,
@@ -322,7 +313,6 @@ def apply_surface_disorder(
     roughness: float,
     pieces: int,
     seed: int,
-    distribution: str = "uniform",
 ) -> BoundaryProfile:
     """Roughen the lower wall by piecewise random vertical shifts.
 
@@ -330,15 +320,8 @@ def apply_surface_disorder(
     displaced by an independent draw from uniform(-roughness/2, +roughness/2)
     and a cubic spline through the displaced midpoints rebuilds a smooth
     wall.  The spline is clamped to the unperturbed wall slope at x = 0 and
-    x = length so the interfaces keep the exact lead width.  The draw
-    distribution is uniform by construction; only "uniform" is accepted, the
-    parameter exists so configs state the choice explicitly.
+    x = length so the interfaces keep the exact lead width.
     """
-    if distribution != "uniform":
-        raise GeometryError(
-            f"unsupported disorder distribution {distribution!r}; only 'uniform' "
-            "is implemented"
-        )
     if pieces < 2:
         raise GeometryError(f"need at least 2 pieces, got {pieces}")
     if roughness < 0.0:
@@ -369,12 +352,7 @@ def apply_surface_disorder(
         return spline_slope(np.asarray(x, dtype=float))
 
     meta = dict(profile.meta)
-    meta["disorder"] = {
-        "roughness": roughness,
-        "pieces": pieces,
-        "seed": seed,
-        "distribution": distribution,
-    }
+    meta["disorder"] = {"roughness": roughness, "pieces": pieces, "seed": seed}
     new = _build_profile(
         length,
         profile.samples,
@@ -403,11 +381,7 @@ def profile_to_csv(profile: BoundaryProfile, path) -> None:
     xs = np.linspace(0.0, profile.length, profile.samples + 1)
     upper = np.asarray(profile.upper_fn(xs), dtype=float)
     lower = np.asarray(profile.lower_fn(xs), dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "P", "Q"])
-        for x, p, q in zip(xs, upper, lower):
-            writer.writerow([f"{x:.17g}", f"{p:.17g}", f"{q:.17g}"])
+    write_table(path, (), ("u", "P", "Q"), (".17g",) * 3, xs, upper, lower)
 
 
 def profile_from_csv(path, samples: int = 1024) -> BoundaryProfile:

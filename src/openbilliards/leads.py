@@ -79,7 +79,6 @@ class OverlapTable:
     """
 
     lead_width: float
-    cavity_length: float
     energies: Array  # cavity eigenvalues E_j, shape (k_keep,)
     left: Array  # (k_keep, n_lead), interface x = 0
     right: Array  # (k_keep, n_lead), interface x = L
@@ -111,7 +110,6 @@ def overlaps(solution: CavitySolution, n_lead: int) -> OverlapTable:
     right = coeffs[:, :n_lead, :] @ (norms * signs)
     return OverlapTable(
         lead_width=w,
-        cavity_length=profile.length,
         energies=solution.energies.copy(),
         left=left,
         right=right,

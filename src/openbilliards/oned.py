@@ -1,11 +1,11 @@
 """Step-barrier transmission in one dimension, exact and via reaction matrix.
 
 End-to-end check of the energy-domain pipeline on a problem with a closed
-form: a constant potential step of height V0 on [0, 1]. The reaction matrix
-is the Neumann-basis spectral sum with poles at V0 + (m*pi)^2, split at the
-level nearest E like the cavity's, and the scattering matrix reuses the
-same Cayley construction as the cavity solver, with interface phases
-diag(1, e^{-ik}). Units hbar^2/2m = 1.
+form: a constant potential step of height V0 on [0, 1]. The closed region's
+Neumann levels V0 + (m*pi)^2 and their interface values form a one-channel
+`OverlapTable`, so R and S come from the same code as the cavity's:
+`leads.r_matrix` and `scattering.s_from_r`, with the "global" phase
+reference for the 2x2 S (T is the same either way). Units hbar^2/2m = 1.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .leads import ReactionMatrix
-from .scattering import cayley_smatrix
+from .leads import LeadSpace, OverlapTable, r_matrix
+from .scattering import conductance, s_from_r
 from .tables import write_table
 
 Array = NDArray[np.float64]
@@ -36,10 +36,29 @@ class BarrierProblem:
         if self.m_trunc < 1:
             raise ValueError(f"m_trunc must be >= 1, got {self.m_trunc}")
 
-    def levels(self) -> Array:
-        """Interior Neumann levels V0 + (m*pi)^2, m = 0..m_trunc."""
-        m = np.arange(self.m_trunc + 1, dtype=float)
-        return self.height + (m * math.pi) ** 2
+    def table(self) -> OverlapTable:
+        """Levels V0 + (m*pi)^2, m = 0..m_trunc, as a one-channel pole table.
+
+        The Neumann functions sqrt(eps_m) cos(m*pi*x) (eps_0 = 1, else 2)
+        take sqrt(eps_m) at x = 0 and sqrt(eps_m) (-1)^m at x = 1.
+        """
+        m = np.arange(self.m_trunc + 1)
+        left = np.full(m.size, math.sqrt(2.0))
+        left[0] = 1.0
+        return OverlapTable(
+            lead_width=1.0,
+            energies=self.height + (m * math.pi) ** 2,
+            left=left[:, None],
+            right=np.where(m % 2 == 0, left, -left)[:, None],
+        )
+
+
+def lead_space(energy: float) -> LeadSpace:
+    """The one open channel k = sqrt(E) of the 1D leads."""
+    e = float(energy)
+    if e <= 0.0:
+        raise ValueError(f"energy must be positive, got {e}")
+    return LeadSpace(energy=e, lead_width=1.0, wavevectors=np.array([math.sqrt(e)]))
 
 
 def exact_transmission(energy: float, height: float) -> float:
@@ -63,45 +82,16 @@ def exact_transmission(energy: float, height: float) -> float:
     return 1.0 / (1.0 + height**2 * shape / (4.0 * energy))
 
 
-def reaction_matrix(energy: float, problem: BarrierProblem) -> ReactionMatrix:
-    """2x2 reaction matrix from the truncated Neumann-basis series.
-
-    Diagonal: 1/(E - V0) + sum_m 2/(E - V0 - m^2 pi^2). Off-diagonal gets
-    the alternating sign of the basis function at the far wall. Strictly
-    decreasing in E between consecutive poles. The level nearest E is
-    split off as the pole term.
-    """
-    e = float(energy)
-    if e <= 0.0:
-        raise ValueError(f"energy must be positive, got {e}")
-    gaps = e - problem.levels()
-    nearest = int(np.argmin(np.abs(gaps)))
-    gap = float(gaps[nearest])
-    gaps[nearest] = np.inf  # drops the split-off level from the sums
-    weights = np.full(gaps.size, 2.0)
-    weights[0] = 1.0
-    signs = np.where(np.arange(gaps.size) % 2 == 0, 1.0, -1.0)
-    diag = math.fsum(weights / gaps)
-    off = math.fsum(weights * signs / gaps)
-    return ReactionMatrix(
-        regular=np.array([[diag, off], [off, diag]]),
-        residue=math.sqrt(weights[nearest]) * np.array([1.0, signs[nearest]]),
-        gap=gap,
-    )
-
-
 def barrier_smatrix(energy: float, problem: BarrierProblem) -> NDArray[np.complex128]:
-    """2x2 scattering matrix with interface phases diag(1, e^{-ik})."""
-    k = math.sqrt(float(energy))
-    core = cayley_smatrix(reaction_matrix(energy, problem), np.array([k, k]))
-    phases = np.array([1.0, np.exp(-1j * k)])
-    return phases[:, None] * core * phases[None, :]
+    """2x2 scattering matrix, both outgoing waves referenced at x = 0."""
+    space = lead_space(energy)
+    return s_from_r(r_matrix(problem.table(), space), space, 1.0, "global").matrix
 
 
 def rmatrix_transmission(energy: float, problem: BarrierProblem) -> float:
     """|S_21|^2 from the truncated reaction matrix."""
-    smat = barrier_smatrix(energy, problem)
-    return float(abs(smat[1, 0]) ** 2)
+    space = lead_space(energy)
+    return conductance(s_from_r(r_matrix(problem.table(), space), space, 1.0))
 
 
 def write_comparison_csv(path, problem, energies, header_lines=()) -> float:

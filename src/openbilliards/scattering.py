@@ -43,7 +43,8 @@ def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
     is finite on the pole (g = 0). M^(-1) comes from the eigenpairs of At,
     which keeps S unitary to rounding however large At is. A channel at
     its threshold (k = 0) carries no flux: S_nn = -1 and its other entries
-    vanish. Shared by the 2D pipeline and the 1D validation module.
+    vanish. The 2D sweep and the 1D barrier (a one-channel `OverlapTable`)
+    both reach it through `s_from_r`.
     """
     k = np.asarray(wavevectors, dtype=float)
     n = k.size
@@ -69,10 +70,6 @@ def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
 class ScatteringMatrix:
     """Unitary channel map at one energy, interfaces at x=0 and x=L."""
 
-    energy: float
-    lead_width: float
-    cavity_length: float
-    phase_reference: str  # "interface" or "global"
     wavevectors: Array  # open-channel k_n, one lead
     matrix: CArray  # 2N x 2N, blocks [[r, t'], [t, r']]
 
@@ -123,14 +120,7 @@ def s_from_r(
             ]
         )
         smat = phases[:, None] * smat * phases[None, :]
-    return ScatteringMatrix(
-        energy=space.energy,
-        lead_width=space.lead_width,
-        cavity_length=cavity_length,
-        phase_reference=phase_reference,
-        wavevectors=space.wavevectors.copy(),
-        matrix=smat,
-    )
+    return ScatteringMatrix(wavevectors=space.wavevectors.copy(), matrix=smat)
 
 
 def conductance(smatrix: ScatteringMatrix) -> float:

@@ -110,12 +110,6 @@ def test_disorder_zero_roughness_roundtrip():
     assert np.max(np.abs(flat.lower_fn(xs) - base.lower_fn(xs))) < 1e-10
 
 
-def test_disorder_rejects_unknown_distribution():
-    base = make_reference_cavity(samples=512)
-    with pytest.raises(GeometryError, match="uniform"):
-        apply_surface_disorder(base, roughness=0.1, pieces=10, seed=0, distribution="normal")
-
-
 def test_disorder_wall_crossing_detected():
     base = make_reference_cavity(samples=512)
     with pytest.raises(GeometryError):
@@ -127,10 +121,18 @@ def test_profile_csv_roundtrip(tmp_path):
     p = make_reference_cavity(samples=512)
     path = tmp_path / "profile.csv"
     profile_to_csv(p, path)
+    raw = path.read_bytes()
+    assert raw.splitlines()[0] == b"u,P,Q"
+    assert b"\r" not in raw
     q = profile_from_csv(path, samples=512)
     assert q.length == pytest.approx(p.length, rel=1e-15)
     assert np.max(np.abs(q.width - p.width)) < 1e-9
     assert q.lead_width == pytest.approx(p.lead_width, rel=1e-9)
+    # a table written with CRLF line endings reads the same
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+    r = profile_from_csv(crlf, samples=512)
+    assert np.array_equal(r.upper, q.upper) and np.array_equal(r.lower, q.lower)
 
 
 def test_resample_preserves_geometry():

@@ -134,7 +134,6 @@ def test_sum_rule_grows_with_retained_states():
 def test_r_matrix_rank_one():
     table = OverlapTable(
         lead_width=1.0,
-        cavity_length=1.0,
         energies=np.array([2.0]),
         left=np.array([[0.7]]),
         right=np.array([[-0.3]]),

@@ -7,14 +7,16 @@ import warnings
 import numpy as np
 import pytest
 
+from openbilliards.leads import r_matrix
 from openbilliards.oned import (
     BarrierProblem,
     barrier_smatrix,
     exact_transmission,
-    reaction_matrix,
+    lead_space,
     rmatrix_transmission,
     write_comparison_csv,
 )
+from openbilliards.scattering import conductance, s_from_r
 
 
 def transmission_by_matching(energy, height):
@@ -86,7 +88,7 @@ def test_truncation_error_decreases_monotonically():
 def test_zero_height_rmatrix_grid():
     prob = BarrierProblem(height=0.0)
     for e_val in np.linspace(0.5, 20.0, 40):
-        if np.min(np.abs(e_val - prob.levels())) < 1e-3:
+        if np.min(np.abs(e_val - prob.table().energies)) < 1e-3:
             continue
         assert rmatrix_transmission(e_val, prob) == pytest.approx(1.0, abs=1e-3)
 
@@ -109,7 +111,7 @@ def test_diagonal_decreases_between_poles():
     grid = np.linspace(lo + 0.5, hi - 0.5, 25)
     values = []
     for e_val in grid:
-        rmat = reaction_matrix(e_val, prob)
+        rmat = r_matrix(prob.table(), lead_space(e_val))
         values.append(rmat.regular[1, 1] + rmat.residue[1] ** 2 / rmat.gap)
     assert np.all(np.diff(values) < 0.0)
 
@@ -121,7 +123,7 @@ def test_interior_levels_are_computed(energy):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         smat = barrier_smatrix(energy, prob)
-        rmat = reaction_matrix(energy, prob)
+        rmat = r_matrix(prob.table(), lead_space(energy))
         near = [rmatrix_transmission(energy * f, prob) for f in (1 - 1e-9, 1 + 1e-9)]
     assert rmat.gap == 0.0
     assert np.all(np.isfinite(smat))
@@ -138,8 +140,34 @@ def test_input_validation():
         BarrierProblem(height=1.0, m_trunc=0)
     with pytest.raises(ValueError):
         exact_transmission(-2.0, 1.0)
-    with pytest.raises(ValueError):
-        reaction_matrix(0.0, BarrierProblem(height=1.0))
+    for entry in (rmatrix_transmission, barrier_smatrix):
+        with pytest.raises(ValueError):
+            entry(0.0, BarrierProblem(height=1.0))
+
+
+def test_table_matches_closed_form_reaction_matrix():
+    # The infinite Neumann sums are cot(q)/q on the diagonal and 1/(q sin q)
+    # off it, q^2 = E - V0. The truncated diagonal misses the m > M tail,
+    # about 2/(pi^2 M) = 2.0e-4 at M = 1000; the alternating off-diagonal
+    # tail is far smaller.
+    v0 = 1.0
+    prob = BarrierProblem(height=v0, m_trunc=1000)
+    for e_val in (0.4, 2.0, 8.3, 17.0):
+        rmat = r_matrix(prob.table(), lead_space(e_val))
+        full = rmat.regular + np.outer(rmat.residue, rmat.residue) / rmat.gap
+        q = np.lib.scimath.sqrt(complex(e_val - v0))
+        diag = (np.cos(q) / (q * np.sin(q))).real
+        off = (1.0 / (q * np.sin(q))).real
+        assert abs(full[0, 0] - diag) < 3e-4 and abs(full[1, 1] - diag) < 3e-4
+        assert abs(full[0, 1] - off) < 1e-6 and full[0, 1] == full[1, 0]
+
+
+def test_transmission_is_the_pipeline_conductance():
+    prob = BarrierProblem(height=1.0)
+    for e_val in (0.4, 1.0, 2.0, 1.0 + math.pi**2, 17.0):
+        space = lead_space(e_val)
+        smat = s_from_r(r_matrix(prob.table(), space), space, 1.0)
+        assert rmatrix_transmission(e_val, prob) == conductance(smat)
 
 
 def test_full_energy_scan_accuracy_and_speed():
