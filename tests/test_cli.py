@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from openbilliards.cli import (
     config_hash,
     load_config,
     main,
+    run_validation,
 )
 
 
@@ -189,6 +191,21 @@ def test_sweep_and_spectrum_outputs(tmp_path, monkeypatch):
     amp_lines = (out / "t11_1.1-1.9.csv").read_text().splitlines()
     assert amp_lines[0].startswith("# config ")
     assert "L,re_t,im_t,abs_t" in amp_lines
+
+
+def test_spectrum_self_test(capsys):
+    # The spectrum shift-theorem self-check runs as the `shift-theorem`
+    # entry of `validate`; the old `spectrum --self-test` flag is gone.
+    for inject_fault in (False, True):
+        checks = {c["name"]: c for c in run_validation(inject_fault=inject_fault)}
+        shift = checks["shift-theorem"]
+        assert shift["tolerance"] == pytest.approx(math.pi / 8.0)
+        assert shift["measured"] <= shift["tolerance"]
+        assert shift["pass"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--self-test"])
+    assert exc.value.code == 2
+    assert "--self-test" in capsys.readouterr().err
 
 
 def test_validate_1d(tmp_path):
