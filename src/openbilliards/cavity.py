@@ -414,15 +414,6 @@ class CavitySolution:
     def k_keep(self) -> int:
         return self.energies.size
 
-    @property
-    def k_trust_limit(self) -> float:
-        """Largest wave number the truncated pole sum plausibly supports.
-
-        Heuristic: half the highest retained energy; treat results beyond
-        sqrt(E_last / 2) with suspicion.
-        """
-        return math.sqrt(0.5 * float(self.energies[-1]))
-
 
 def solve_cavity(profile: BoundaryProfile, basis: BasisSpec, k_keep: int) -> CavitySolution:
     """Assemble, diagonalize, and retain the lowest k_keep eigenpairs.

@@ -86,13 +86,7 @@ DEFAULT_CONFIG = {
         "disorder": None,
     },
     "basis": {"m_max": 90, "n_max": 50, "k_keep": 3000},
-    "sweep": {
-        "k_min": 1.0,
-        "k_max": 19.0,
-        "points": 2000,
-        "n_lead": None,
-        "phase_reference": "interface",
-    },
+    "sweep": {"k_min": 1.0, "k_max": 19.0, "points": 2000},
     "spectra": {
         "windows": [{"k_min": 6.0, "k_max": 9.0, "n_modes": 6}],
         "pad_factor": 8,
@@ -116,7 +110,6 @@ _SHAPES = {
     "geometry.path": str,
     "geometry.wiggle": {"amplitude": float, "cycles": int},
     "geometry.disorder": {"roughness": float, "pieces": int, "seed": int},
-    "sweep.n_lead": int,
     "spectra.windows": {"k_min": float, "k_max": float, "n_modes": int},
 }
 
@@ -276,19 +269,9 @@ def cmd_solve_cavity(cfg) -> int:
     return 0
 
 
-def _sweep_grid(cfg):
-    s = cfg["sweep"]
-    return np.linspace(s["k_min"], s["k_max"], s["points"])
-
-
 def _run_sweep(cfg, solution):
     s = cfg["sweep"]
-    return sweep_conductance(
-        solution,
-        _sweep_grid(cfg),
-        n_lead=s["n_lead"],
-        phase_reference=s["phase_reference"],
-    )
+    return sweep_conductance(solution, np.linspace(s["k_min"], s["k_max"], s["points"]))
 
 
 def cmd_sweep(cfg) -> int:
@@ -420,7 +403,7 @@ def _check_free_guide():
     space = channel_space((k_piw * math.pi) ** 2, 1.0)
     table = overlaps(solution, n_lead=4)
     rmat = r_matrix(table, space)
-    smat = s_from_r(rmat, space, profile.length)
+    smat = s_from_r(rmat, space)
     return abs(conductance(smat) - 2.0)
 
 
@@ -431,7 +414,7 @@ def _check_barrier(inject_fault=False):
     if inject_fault:
         # Negative control: sign error on the m = 0 series term.
         rmat = dataclasses.replace(rmat, regular=rmat.regular - 2.0 / (energy - v0))
-    t_ours = conductance(s_from_r(rmat, space, 1.0))
+    t_ours = conductance(s_from_r(rmat, space))
     return abs(t_ours - exact_transmission(energy, v0))
 
 
@@ -447,12 +430,7 @@ def _check_shift_theorem():
     """|peak - L0| of the length spectrum of e^{ikL0} over k in [5, 9]."""
     length_true = 7.5
     k = np.linspace(5.0, 9.0, 321)
-    series = SpectrumSeries(
-        k_window=(5.0, 9.0),
-        lead_width=1.0,
-        k=k,
-        samples=np.exp(1j * k * length_true)[:, None, None],
-    )
+    series = SpectrumSeries(k=k, samples=np.exp(1j * k * length_true)[:, None, None])
     lengths, amps = length_spectrum(series, pad_factor=8)
     return abs(float(lengths[np.argmax(np.abs(amps[:, 0, 0]))]) - length_true)
 
@@ -462,7 +440,7 @@ def _check_parseval():
     k = np.linspace(5.0, 8.0, 128)
     dk = k[1] - k[0]
     t = rng.normal(size=(128, 1, 1)) + 1j * rng.normal(size=(128, 1, 1))
-    series = SpectrumSeries(k_window=(5.0, 8.0), lead_width=1.0, k=k, samples=t)
+    series = SpectrumSeries(k=k, samples=t)
     lengths, amps = length_spectrum(series, pad_factor=4)
     lhs = float(np.sum(np.abs(amps) ** 2) * (lengths[1] - lengths[0]))
     rhs = float(2.0 * math.pi * np.sum(np.abs(t) ** 2) * dk)

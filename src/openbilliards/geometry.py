@@ -14,8 +14,8 @@ import csv
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -58,8 +58,6 @@ class BoundaryProfile:
         First derivatives of the walls on `grid`.
     upper_fn, lower_fn, upper_slope_fn, lower_slope_fn:
         Vectorized callables evaluating the walls and slopes anywhere.
-    meta:
-        Free-form provenance tags (family name, perturbation parameters).
     """
 
     length: float
@@ -73,7 +71,6 @@ class BoundaryProfile:
     lower_fn: Callable[[Array], Array]
     upper_slope_fn: Callable[[Array], Array]
     lower_slope_fn: Callable[[Array], Array]
-    meta: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def samples(self) -> int:
@@ -130,7 +127,6 @@ def _build_profile(
     lower_fn: Callable,
     upper_slope_fn: Callable,
     lower_slope_fn: Callable,
-    meta: Mapping[str, object],
 ) -> BoundaryProfile:
     grid = _midpoint_grid(length, samples)
     lead_width = float(upper_fn(0.0) - lower_fn(0.0))
@@ -146,7 +142,6 @@ def _build_profile(
         lower_fn=lower_fn,
         upper_slope_fn=upper_slope_fn,
         lower_slope_fn=lower_slope_fn,
-        meta=dict(meta),
     )
     profile.validate()
     return profile
@@ -164,7 +159,6 @@ def make_rectangle(height: float, length: float, samples: int = 1024) -> Boundar
         lower_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         upper_slope_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lower_slope_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        meta={"family": "rectangle", "height": h},
     )
 
 
@@ -177,10 +171,10 @@ def make_reference_cavity(
 ) -> BoundaryProfile:
     """Gaussian-bump cavity over a shallow parabolic floor, length 10*scale.
 
-    With the default parameters the interface width is ~1.00133 (the nominal
-    lead width 1 quoted for this geometry is recorded in `meta`), the central
-    width is scale*(1 - floor_offset) = 0.3456, and the narrowest point sits
-    at |x - length/2| ~ 0.743 with width ~0.3097.
+    With the default parameters the interface width is ~1.00133 (nominally
+    1 for this geometry), the central width is scale*(1 - floor_offset) =
+    0.3456, and the narrowest point sits at |x - length/2| ~ 0.743 with width
+    ~0.3097.
     """
     lam = float(scale)
     length = 10.0 * lam
@@ -202,22 +196,7 @@ def make_reference_cavity(
         s = (np.asarray(x, dtype=float) - x_mid) / lam
         return -2.0 * floor_curvature * s * np.ones_like(s)
 
-    return _build_profile(
-        length,
-        samples,
-        upper_fn,
-        lower_fn,
-        upper_slope_fn,
-        lower_slope_fn,
-        meta={
-            "family": "reference",
-            "bump_decay": bump_decay,
-            "floor_offset": floor_offset,
-            "floor_curvature": floor_curvature,
-            "scale": scale,
-            "nominal_lead_width": 1.0,
-        },
-    )
+    return _build_profile(length, samples, upper_fn, lower_fn, upper_slope_fn, lower_slope_fn)
 
 
 def min_width(profile: BoundaryProfile) -> tuple[float, float]:
@@ -295,16 +274,8 @@ def apply_wiggle(
             + amp * np.sin(freq * x) * taper_slope(x)
         )
 
-    meta = dict(profile.meta)
-    meta["wiggle"] = {"amplitude": amp, "cycles": cycles}
     return _build_profile(
-        length,
-        profile.samples,
-        upper_fn,
-        profile.lower_fn,
-        upper_slope_fn,
-        profile.lower_slope_fn,
-        meta,
+        length, profile.samples, upper_fn, profile.lower_fn, upper_slope_fn, profile.lower_slope_fn
     )
 
 
@@ -351,16 +322,8 @@ def apply_surface_disorder(
     def lower_slope_fn(x):
         return spline_slope(np.asarray(x, dtype=float))
 
-    meta = dict(profile.meta)
-    meta["disorder"] = {"roughness": roughness, "pieces": pieces, "seed": seed}
     new = _build_profile(
-        length,
-        profile.samples,
-        profile.upper_fn,
-        lower_fn,
-        profile.upper_slope_fn,
-        lower_slope_fn,
-        meta,
+        length, profile.samples, profile.upper_fn, lower_fn, profile.upper_slope_fn, lower_slope_fn
     )
     logger.info(
         "surface disorder applied: roughness=%g pieces=%d seed=%d min width %.6f",
@@ -423,18 +386,4 @@ def profile_from_csv(path, samples: int = 1024) -> BoundaryProfile:
         lambda x: lower_spline(np.asarray(x, dtype=float)),
         lambda x: upper_slope(np.asarray(x, dtype=float)),
         lambda x: lower_slope(np.asarray(x, dtype=float)),
-        meta={"family": "tabulated", "source": str(path)},
-    )
-
-
-def resample(profile: BoundaryProfile, samples: int) -> BoundaryProfile:
-    """Same geometry on a different midpoint grid size."""
-    return _build_profile(
-        profile.length,
-        samples,
-        profile.upper_fn,
-        profile.lower_fn,
-        profile.upper_slope_fn,
-        profile.lower_slope_fn,
-        dict(profile.meta),
     )

@@ -116,17 +116,6 @@ def overlaps(solution: CavitySolution, n_lead: int) -> OverlapTable:
     )
 
 
-def sum_rule(table: OverlapTable) -> Array:
-    """Coupling-strength sums sum_j phi_jn^2 per (side, channel).
-
-    Grows without bound as more states are retained (the boundary closure
-    diverges), so this is a truncation diagnostic, not a convergent limit.
-    """
-    return np.stack(
-        [np.sum(table.left**2, axis=0), np.sum(table.right**2, axis=0)]
-    )
-
-
 @dataclass(frozen=True)
 class ReactionMatrix:
     """R = regular + outer(residue, residue) / gap, over both leads' channels.

@@ -4,8 +4,7 @@ End-to-end check of the energy-domain pipeline on a problem with a closed
 form: a constant potential step of height V0 on [0, 1]. The closed region's
 Neumann levels V0 + (m*pi)^2 and their interface values form a one-channel
 `OverlapTable`, so R and S come from the same code as the cavity's:
-`leads.r_matrix` and `scattering.s_from_r`, with the "global" phase
-reference for the 2x2 S (T is the same either way). Units hbar^2/2m = 1.
+`leads.r_matrix` and `scattering.s_from_r`. Units hbar^2/2m = 1.
 """
 
 from __future__ import annotations
@@ -14,13 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .leads import LeadSpace, OverlapTable, r_matrix
 from .scattering import conductance, s_from_r
 from .tables import write_table
-
-Array = NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -82,16 +78,10 @@ def exact_transmission(energy: float, height: float) -> float:
     return 1.0 / (1.0 + height**2 * shape / (4.0 * energy))
 
 
-def barrier_smatrix(energy: float, problem: BarrierProblem) -> NDArray[np.complex128]:
-    """2x2 scattering matrix, both outgoing waves referenced at x = 0."""
-    space = lead_space(energy)
-    return s_from_r(r_matrix(problem.table(), space), space, 1.0, "global").matrix
-
-
 def rmatrix_transmission(energy: float, problem: BarrierProblem) -> float:
     """|S_21|^2 from the truncated reaction matrix."""
     space = lead_space(energy)
-    return conductance(s_from_r(r_matrix(problem.table(), space), space, 1.0))
+    return conductance(s_from_r(r_matrix(problem.table(), space), space))
 
 
 def write_comparison_csv(path, problem, energies, header_lines=()) -> float:

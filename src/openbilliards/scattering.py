@@ -8,9 +8,7 @@ matrix referenced at the interfaces is the Cayley image
 which is exactly unitary and symmetric for real symmetric R. The sign is
 fixed by the hard-wall limit: R -> 0 must give r = -1 (Dirichlet phase), and
 a clean guide then transmits with t = exp(i*k_n*L). Outgoing amplitudes are
-measured at each lead's own interface (x=0 left, x=L right); the "global"
-phase reference multiplies by diag(I, exp(-i*k_n*L)) on both sides, moving
-the right-lead reference plane to x=0.
+measured at each lead's own interface (x=0 left, x=L right).
 """
 
 from __future__ import annotations
@@ -70,12 +68,11 @@ def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
 class ScatteringMatrix:
     """Unitary channel map at one energy, interfaces at x=0 and x=L."""
 
-    wavevectors: Array  # open-channel k_n, one lead
     matrix: CArray  # 2N x 2N, blocks [[r, t'], [t, r']]
 
     @property
     def n_open(self) -> int:
-        return self.wavevectors.size
+        return self.matrix.shape[0] // 2
 
     @property
     def r(self) -> CArray:
@@ -99,28 +96,12 @@ class ScatteringMatrix:
         return float(np.max(np.abs(gram - np.eye(2 * self.n_open))))
 
 
-def s_from_r(
-    rmat: ReactionMatrix,
-    space: LeadSpace,
-    cavity_length: float,
-    phase_reference: str = "interface",
-) -> ScatteringMatrix:
+def s_from_r(rmat: ReactionMatrix, space: LeadSpace) -> ScatteringMatrix:
     """Flux-normalized S-matrix from the reaction matrix at `space.energy`."""
     if space.n_open < 1:
         raise ValueError("S-matrix needs at least one open channel")
-    if phase_reference not in ("interface", "global"):
-        raise ValueError(f"unknown phase reference {phase_reference!r}")
     both = np.concatenate([space.wavevectors, space.wavevectors])
-    smat = cayley_smatrix(rmat, both)
-    if phase_reference == "global":
-        phases = np.concatenate(
-            [
-                np.ones(space.n_open, dtype=complex),
-                np.exp(-1j * space.wavevectors * cavity_length),
-            ]
-        )
-        smat = phases[:, None] * smat * phases[None, :]
-    return ScatteringMatrix(wavevectors=space.wavevectors.copy(), matrix=smat)
+    return ScatteringMatrix(matrix=cayley_smatrix(rmat, both))
 
 
 def conductance(smatrix: ScatteringMatrix) -> float:
@@ -133,8 +114,6 @@ class SweepResult:
     """Conductance sweep over a k-grid in units of pi/w, one entry per point."""
 
     lead_width: float
-    cavity_length: float
-    phase_reference: str
     k: Array  # the requested grid, units pi/w
     transmission: Array
     n_open: NDArray[np.int64]
@@ -156,15 +135,13 @@ def sweep_conductance(
     solution: CavitySolution,
     k_grid: Array,
     n_lead: int | None = None,
-    phase_reference: str = "interface",
 ) -> SweepResult:
     """Sweep S-matrices over `k_grid` (units pi/w), reusing one solution.
 
     Every point is computed, on channel thresholds and cavity levels too.
     Below the first threshold no channel is open and T = 0.
     """
-    profile = solution.profile
-    w = profile.lead_width
+    w = solution.profile.lead_width
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
         raise ValueError("k_grid must be a non-empty 1D array")
@@ -192,15 +169,13 @@ def sweep_conductance(
             defects.append(0.0)
             blocks.append(np.zeros((0, 0), dtype=complex))
         else:
-            smat = s_from_r(r_matrix(table, space), space, profile.length, phase_reference)
+            smat = s_from_r(r_matrix(table, space), space)
             transmission.append(conductance(smat))
             defects.append(smat.unitarity_defect)
             blocks.append(smat.t.copy())
         n_open.append(space.n_open)
     return SweepResult(
         lead_width=w,
-        cavity_length=profile.length,
-        phase_reference=phase_reference,
         k=k_grid.copy(),
         transmission=np.asarray(transmission),
         n_open=np.asarray(n_open, dtype=np.int64),

@@ -30,14 +30,8 @@ GRID_RTOL = 1e-9
 class SpectrumSeries:
     """Uniform t_nm(k) samples over a window, ready for the transform."""
 
-    k_window: tuple[float, float]  # pi/w units
-    lead_width: float
     k: Array  # physical wave numbers, uniform ascending
     samples: CArray  # (n_k, n_modes, n_modes)
-
-    @property
-    def n_modes(self) -> int:
-        return self.samples.shape[1]
 
     @property
     def resolution(self) -> float:
@@ -73,12 +67,7 @@ def uniform_series(
                 f"need {n_modes}"
             )
     samples = np.stack([result.t_blocks[i][:n_modes, :n_modes] for i in inside])
-    return SpectrumSeries(
-        k_window=(float(lo), float(hi)),
-        lead_width=result.lead_width,
-        k=grid * scale,
-        samples=samples,
-    )
+    return SpectrumSeries(k=grid * scale, samples=samples)
 
 
 def length_spectrum(

@@ -151,6 +151,24 @@ def _check_indices(solution, indices):
             )
 
 
+def _checked_at_doubled_order(value: Callable[[int], Array], spec: InteractionSpec):
+    """value(spec.quad_order), verified against value(2 * spec.quad_order).
+
+    Raises ArithmeticError when max|coarse - fine| exceeds check_tol times
+    max(1, max|coarse|, max|fine|).
+    """
+    coarse = value(spec.quad_order)
+    fine = value(2 * spec.quad_order)
+    drift = float(np.max(np.abs(coarse - fine)))
+    scale = max(1.0, float(np.max(np.abs(coarse))), float(np.max(np.abs(fine))))
+    if drift > spec.check_tol * scale:
+        raise ArithmeticError(
+            f"quadrature not converged at q={spec.quad_order}: "
+            f"drift {drift:.3e} against q={2 * spec.quad_order}"
+        )
+    return coarse
+
+
 def h_ijkl(
     solution: CavitySolution, i: int, j: int, k: int, l: int, spec: InteractionSpec
 ) -> float:
@@ -168,15 +186,7 @@ def h_ijkl(
         g = _pair_block(solution, states, spec, q)
         return g[pos[i] * ns + pos[k], pos[j] * ns + pos[l]]
 
-    coarse = value(spec.quad_order)
-    fine = value(2 * spec.quad_order)
-    scale = max(1.0, abs(coarse), abs(fine))
-    if abs(coarse - fine) > spec.check_tol * scale:
-        raise ArithmeticError(
-            f"quadrature not converged at q={spec.quad_order}: "
-            f"{coarse:.9g} vs {fine:.9g} at 2q"
-        )
-    return float(coarse)
+    return float(_checked_at_doubled_order(value, spec))
 
 
 def pair_hamiltonian(
@@ -201,17 +211,8 @@ def pair_hamiltonian(
         g4 = g.reshape(ns, ns, ns, ns)  # [i, k, j, l]
         return g4.transpose(0, 2, 1, 3).reshape(ns * ns, ns * ns)
 
-    coarse = block(spec.quad_order)
-    fine = block(2 * spec.quad_order)
-    scale = max(1.0, float(np.max(np.abs(coarse))), float(np.max(np.abs(fine))))
-    worst = float(np.max(np.abs(coarse - fine)))
-    if worst > spec.check_tol * scale:
-        raise ArithmeticError(
-            f"quadrature not converged at q={spec.quad_order}: "
-            f"max block drift {worst:.3e}"
-        )
+    mat = _checked_at_doubled_order(block, spec)
     energies = solution.energies[states]
-    mat = coarse.copy()
     mat[np.diag_indices_from(mat)] += np.add.outer(energies, energies).ravel()
     return mat
 

@@ -196,7 +196,7 @@ def test_criterion_4_smatrix_properties(reference_profile, reference_solution):
             t0 = time.perf_counter()
             space = channel_space(energy, w)
             smat = s_from_r(
-                r_matrix(table, space), space, reference_profile.length
+                r_matrix(table, space), space
             )
             per_point.append(time.perf_counter() - t0)
         except IllConditionedEnergy:
@@ -219,7 +219,7 @@ def test_criterion_4_smatrix_properties(reference_profile, reference_solution):
         for k_val in (4.3, 5.9, 7.7):
             energy = (k_val * math.pi / w) ** 2
             space = channel_space(energy, w)
-            smat = s_from_r(r_matrix(tab, space), space, reference_profile.length)
+            smat = s_from_r(r_matrix(tab, space), space)
             worst = max(worst, smat.unitarity_defect)
         defects[keep] = worst
     shrinks = defects[600] <= max(defects[300], 1e-9)

@@ -408,9 +408,3 @@ def test_grid_contract_enforced():
     profile = make_reference_cavity(samples=256)
     with pytest.raises(ValueError):
         assemble_hamiltonian(profile, BasisSpec(200, 4))
-
-
-def test_k_trust_limit_heuristic():
-    profile = make_rectangle(1.0, 3.0, samples=512)
-    sol = solve_cavity(profile, BasisSpec(8, 6), k_keep=10)
-    assert sol.k_trust_limit == pytest.approx(math.sqrt(0.5 * sol.energies[-1]))

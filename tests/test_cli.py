@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,12 @@ def test_defaults_round_trip():
     assert cfg == DEFAULT_CONFIG
     assert len(config_hash(cfg)) == 16
     assert config_hash(cfg) == config_hash(load_config(None))
+
+
+def test_readme_schema_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(block) == DEFAULT_CONFIG
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -92,6 +99,8 @@ def test_overrides_apply_and_validate():
         ("geometry.disorder.seed=3", "missing key 'roughness'"),
         ("basis.m_max=abc", "'basis.m_max' must be int"),
         ("two_body.potential=null", "'two_body.potential' must be a mapping"),
+        ("sweep.phase_reference=global", "unknown config key 'sweep.phase_reference'"),
+        ("sweep.n_lead=8", "unknown config key 'sweep.n_lead'"),
     ],
 )
 def test_bad_override_is_config_error(tmp_path, capsys, override, message):

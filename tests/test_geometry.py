@@ -14,7 +14,6 @@ from openbilliards.geometry import (
     min_width,
     profile_from_csv,
     profile_to_csv,
-    resample,
 )
 
 # Closed-form anchor values for the reference cavity, evaluated from the wall
@@ -133,13 +132,6 @@ def test_profile_csv_roundtrip(tmp_path):
     crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
     r = profile_from_csv(crlf, samples=512)
     assert np.array_equal(r.upper, q.upper) and np.array_equal(r.lower, q.lower)
-
-
-def test_resample_preserves_geometry():
-    p = make_reference_cavity(samples=512)
-    q = resample(p, 1024)
-    assert q.samples == 1024
-    assert float(q.width_at(1.234)) == pytest.approx(float(p.width_at(1.234)), rel=1e-15)
 
 
 def test_wiggle_perturbs_conductance_relevant_region():

@@ -13,7 +13,6 @@ from openbilliards.leads import (
     channel_space,
     overlaps,
     r_matrix,
-    sum_rule,
 )
 
 
@@ -117,18 +116,6 @@ def test_overlaps_channel_validation():
         overlaps(sol, n_lead=0)
     with pytest.raises(ValueError):
         overlaps(sol, n_lead=7)
-
-
-def test_sum_rule_grows_with_retained_states():
-    profile = make_reference_cavity(samples=512)
-    small = overlaps(solve_cavity(profile, BasisSpec(12, 6), 10), n_lead=3)
-    large = overlaps(solve_cavity(profile, BasisSpec(12, 6), 30), n_lead=3)
-    lo = sum_rule(small)
-    hi = sum_rule(large)
-    assert lo.shape == (2, 3)
-    assert np.all(np.isfinite(hi))
-    assert np.all(hi >= lo)
-    assert np.max(hi - lo) > 0
 
 
 def test_r_matrix_rank_one():

@@ -10,13 +10,17 @@ import pytest
 from openbilliards.leads import r_matrix
 from openbilliards.oned import (
     BarrierProblem,
-    barrier_smatrix,
     exact_transmission,
     lead_space,
     rmatrix_transmission,
     write_comparison_csv,
 )
 from openbilliards.scattering import conductance, s_from_r
+
+
+def barrier_smatrix(energy, prob):
+    space = lead_space(energy)
+    return s_from_r(r_matrix(prob.table(), space), space).matrix
 
 
 def transmission_by_matching(energy, height):
@@ -140,9 +144,10 @@ def test_input_validation():
         BarrierProblem(height=1.0, m_trunc=0)
     with pytest.raises(ValueError):
         exact_transmission(-2.0, 1.0)
-    for entry in (rmatrix_transmission, barrier_smatrix):
-        with pytest.raises(ValueError):
-            entry(0.0, BarrierProblem(height=1.0))
+    with pytest.raises(ValueError):
+        rmatrix_transmission(0.0, BarrierProblem(height=1.0))
+    with pytest.raises(ValueError):
+        lead_space(0.0)
 
 
 def test_table_matches_closed_form_reaction_matrix():
@@ -166,7 +171,7 @@ def test_transmission_is_the_pipeline_conductance():
     prob = BarrierProblem(height=1.0)
     for e_val in (0.4, 1.0, 2.0, 1.0 + math.pi**2, 17.0):
         space = lead_space(e_val)
-        smat = s_from_r(r_matrix(prob.table(), space), space, 1.0)
+        smat = s_from_r(r_matrix(prob.table(), space), space)
         assert rmatrix_transmission(e_val, prob) == conductance(smat)
 
 

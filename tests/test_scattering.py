@@ -115,29 +115,15 @@ def test_free_guide_closed_form_reaction_matrix():
             [1.0 / math.sin(k), math.cos(k) / math.sin(k)],
         ]
     ) / k
-    smat = s_from_r(finite(rmat), lead_space_1d(k), cavity_length=1.0)
+    smat = s_from_r(finite(rmat), lead_space_1d(k))
     assert abs(smat.r[0, 0]) < 1e-13
     assert smat.t[0, 0] == pytest.approx(np.exp(1j * k), abs=1e-13)
     assert smat.unitarity_defect < 1e-13
 
 
-def test_global_phase_reference_strips_propagation():
-    k = 2.3
-    rmat = np.array(
-        [
-            [math.cos(k) / math.sin(k), 1.0 / math.sin(k)],
-            [1.0 / math.sin(k), math.cos(k) / math.sin(k)],
-        ]
-    ) / k
-    smat = s_from_r(finite(rmat), lead_space_1d(k), 1.0, phase_reference="global")
-    assert smat.t[0, 0] == pytest.approx(1.0 + 0j, abs=1e-13)
-    with pytest.raises(ValueError):
-        s_from_r(finite(rmat), lead_space_1d(k), 1.0, phase_reference="midpoint")
-
-
 def test_zero_reaction_matrix_blocks():
     space = channel_space((2.5 * math.pi) ** 2, 1.0)
-    smat = s_from_r(finite(np.zeros((4, 4))), space, cavity_length=1.0)
+    smat = s_from_r(finite(np.zeros((4, 4))), space)
     assert np.array_equal(smat.r, -np.eye(2))
     assert np.array_equal(smat.t, np.zeros((2, 2)))
     assert conductance(smat) == 0.0
@@ -149,9 +135,7 @@ def test_straight_guide_staircase(guide_solution):
     for k_val in np.linspace(1.07, 2.93, 50):
         energy = (k_val * math.pi / width) ** 2
         space = channel_space(energy, width)
-        smat = s_from_r(
-            r_matrix(table, space), space, guide_solution.profile.length
-        )
+        smat = s_from_r(r_matrix(table, space), space)
         total = conductance(smat)
         expected = math.floor(k_val)
         assert abs(total - expected) < 1e-3, f"k={k_val}: T={total}"
@@ -162,7 +146,7 @@ def test_straight_guide_staircase(guide_solution):
 def test_flux_conservation(guide_solution):
     table = overlaps(guide_solution, n_lead=3)
     space = channel_space((2.5 * math.pi) ** 2, 1.0)
-    smat = s_from_r(r_matrix(table, space), space, 0.25)
+    smat = s_from_r(r_matrix(table, space), space)
     reflected = float(np.sum(np.abs(smat.r) ** 2))
     assert conductance(smat) + reflected == pytest.approx(2.0, abs=1e-10)
 
@@ -172,7 +156,7 @@ def test_symmetric_cavity_has_equal_left_right_blocks():
     table = overlaps(sol, n_lead=5)
     w = table.lead_width
     space = channel_space((4.5 * math.pi / w) ** 2, w)
-    smat = s_from_r(r_matrix(table, space), space, sol.profile.length)
+    smat = s_from_r(r_matrix(table, space), space)
     assert np.array_equal(smat.t_prime, smat.t.T)  # reciprocity, exact
     assert np.max(np.abs(smat.r - smat.r_prime)) < 1e-8  # mirror symmetry
     assert np.max(np.abs(smat.t - smat.t_prime)) < 1e-8

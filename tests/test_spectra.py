@@ -22,12 +22,7 @@ def make_series(k, samples):
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim == 1:
         samples = samples[:, None, None]
-    return SpectrumSeries(
-        k_window=(float(k[0]), float(k[-1])),
-        lead_width=1.0,
-        k=k,
-        samples=samples,
-    )
+    return SpectrumSeries(k=k, samples=samples)
 
 
 def test_constant_signal_concentrates_at_zero_length():
@@ -144,8 +139,6 @@ def synthetic_sweep(width=1.0):
     transmission = np.array([np.sum(np.abs(b) ** 2) for b in blocks])
     return SweepResult(
         lead_width=width,
-        cavity_length=3.0,
-        phase_reference="interface",
         k=grid,
         transmission=transmission,
         n_open=np.full(grid.size, 2, dtype=np.int64),
@@ -177,8 +170,6 @@ def test_uniform_series_validates_window_and_channels():
     bent[5] += 0.01
     bent_result = SweepResult(
         lead_width=ragged.lead_width,
-        cavity_length=ragged.cavity_length,
-        phase_reference=ragged.phase_reference,
         k=bent,
         transmission=ragged.transmission,
         n_open=ragged.n_open,
