@@ -90,15 +90,12 @@ DEFAULT_CONFIG = {
     "spectra": {
         "windows": [{"k_min": 6.0, "k_max": 9.0, "n_modes": 6}],
         "pad_factor": 8,
-        "hann": False,
     },
     "two_body": {
         "states": 4,
         "potential": {"kind": "gaussian", "strength": 1.0, "width": 0.5},
         "quad_order": 16,
-        "mode": "euclidean",
     },
-    "oned": {"v0": 1.0, "m_trunc": 1000, "e_min": 0.1, "e_max": 20.0, "points": 200},
     "output_dir": "out",
     "cache": True,
 }
@@ -293,11 +290,10 @@ def cmd_spectrum(cfg) -> int:
     result = _run_sweep(cfg, solution)
     out = _outdir(cfg)
     pad = cfg["spectra"]["pad_factor"]
-    hann = cfg["spectra"]["hann"]
     for window in cfg["spectra"]["windows"]:
         lo, hi, n_modes = window["k_min"], window["k_max"], window["n_modes"]
         series = uniform_series(result, (lo, hi), n_modes)
-        lengths, amps = length_spectrum(series, pad_factor=pad, hann=hann)
+        lengths, amps = length_spectrum(series, pad_factor=pad)
         power = np.sum(np.abs(amps) ** 2, axis=(1, 2))
         keep = lengths <= 40.0
         peaks = peak_positions(
@@ -322,9 +318,9 @@ def cmd_spectrum(cfg) -> int:
 
 
 def cmd_validate_1d(cfg) -> int:
-    o = cfg["oned"]
-    problem = BarrierProblem(height=float(o["v0"]), m_trunc=o["m_trunc"])
-    energies = np.linspace(o["e_min"], o["e_max"], o["points"])
+    # Acceptance criterion 1's barrier: V0 = 1 on 200 energies in [0.1, 20].
+    problem = BarrierProblem(height=1.0)
+    energies = np.linspace(0.1, 20.0, 200)
     out = _outdir(cfg) / "barrier.csv"
     worst = write_comparison_csv(out, problem, energies, header_lines(cfg))
     print(f"wrote {out} ({energies.size} rows, max |dT| = {worst:.3e})")
@@ -343,9 +339,11 @@ def cmd_two_body(cfg) -> int:
         )
     else:
         raise ConfigError(f"unknown two_body.potential.kind '{kind}'")
-    spec = InteractionSpec(
-        potential=potential, quad_order=tb["quad_order"], mode=tb["mode"]
-    )
+    if not 1 <= tb["states"] <= cfg["basis"]["k_keep"]:
+        raise ConfigError(
+            f"two_body.states must be between 1 and basis.k_keep, got {tb['states']}"
+        )
+    spec = InteractionSpec(potential=potential, quad_order=tb["quad_order"])
     solution = get_solution(cfg)
     states = list(range(tb["states"]))
     try:
@@ -554,7 +552,7 @@ def main(argv=None) -> int:
         if args.command == "two-body":
             return cmd_two_body(cfg)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as err:
+    except ValueError as err:  # a ConfigError, or an input the program rejects
         print(f"error: {err}", file=sys.stderr)
         return 2
 

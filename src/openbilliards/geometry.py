@@ -28,8 +28,8 @@ logger = logging.getLogger(__name__)
 Array = np.ndarray
 
 # Nominal shape parameters of the reference cavity: a Gaussian bump facing a
-# shallow parabolic floor.  All four are dimensionless; the length unit is set
-# by `scale`.
+# shallow parabolic floor.  The first three are dimensionless; the length unit
+# is REFERENCE_SCALE.
 BUMP_DECAY = 0.161
 FLOOR_OFFSET = 0.2
 FLOOR_CURVATURE = 0.1
@@ -162,39 +162,32 @@ def make_rectangle(height: float, length: float, samples: int = 1024) -> Boundar
     )
 
 
-def make_reference_cavity(
-    samples: int = 2048,
-    bump_decay: float = BUMP_DECAY,
-    floor_offset: float = FLOOR_OFFSET,
-    floor_curvature: float = FLOOR_CURVATURE,
-    scale: float = REFERENCE_SCALE,
-) -> BoundaryProfile:
-    """Gaussian-bump cavity over a shallow parabolic floor, length 10*scale.
+def make_reference_cavity(samples: int = 2048) -> BoundaryProfile:
+    """Gaussian-bump cavity over a shallow parabolic floor, length 10*REFERENCE_SCALE.
 
-    With the default parameters the interface width is ~1.00133 (nominally
-    1 for this geometry), the central width is scale*(1 - floor_offset) =
-    0.3456, and the narrowest point sits at |x - length/2| ~ 0.743 with width
-    ~0.3097.
+    The interface width is ~1.00133 (nominally 1 for this geometry), the
+    central width is REFERENCE_SCALE*(1 - FLOOR_OFFSET) = 0.3456, and the
+    narrowest point sits at |x - length/2| ~ 0.743 with width ~0.3097.
     """
-    lam = float(scale)
+    lam = REFERENCE_SCALE
     length = 10.0 * lam
     x_mid = 0.5 * length
 
     def upper_fn(x):
         s = (np.asarray(x, dtype=float) - x_mid) / lam
-        return lam * np.exp(-bump_decay * s * s)
+        return lam * np.exp(-BUMP_DECAY * s * s)
 
     def lower_fn(x):
         s = (np.asarray(x, dtype=float) - x_mid) / lam
-        return lam * (floor_offset - floor_curvature * s * s)
+        return lam * (FLOOR_OFFSET - FLOOR_CURVATURE * s * s)
 
     def upper_slope_fn(x):
         s = (np.asarray(x, dtype=float) - x_mid) / lam
-        return -2.0 * bump_decay * s * np.exp(-bump_decay * s * s)
+        return -2.0 * BUMP_DECAY * s * np.exp(-BUMP_DECAY * s * s)
 
     def lower_slope_fn(x):
         s = (np.asarray(x, dtype=float) - x_mid) / lam
-        return -2.0 * floor_curvature * s * np.ones_like(s)
+        return -2.0 * FLOOR_CURVATURE * s * np.ones_like(s)
 
     return _build_profile(length, samples, upper_fn, lower_fn, upper_slope_fn, lower_slope_fn)
 

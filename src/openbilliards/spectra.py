@@ -70,13 +70,11 @@ def uniform_series(
     return SpectrumSeries(k=grid * scale, samples=samples)
 
 
-def length_spectrum(
-    series: SpectrumSeries, pad_factor: int = 8, hann: bool = False
-) -> tuple[Array, CArray]:
+def length_spectrum(series: SpectrumSeries, pad_factor: int = 8) -> tuple[Array, CArray]:
     """Transform samples to t_nm(L) on L_j = 2*pi*j/(n_pad*dk), j >= 0.
 
     Zero-padding by `pad_factor` refines the L readout without adding
-    information; the optional Hann taper trades resolution for sidelobes.
+    information.
     """
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
@@ -87,21 +85,16 @@ def length_spectrum(
     dk = float(steps[0])
     if np.max(steps) - np.min(steps) > GRID_RTOL * abs(k[-1]):
         raise ValueError("sample grid is not uniform")
-    samples = series.samples
-    if hann:
-        samples = samples * np.hanning(k.size)[:, None, None]
     n_pad = pad_factor * k.size
-    transform = np.fft.fft(samples, n=n_pad, axis=0)
+    transform = np.fft.fft(series.samples, n=n_pad, axis=0)
     lengths = 2.0 * math.pi * np.arange(n_pad) / (n_pad * dk)
     phase = np.exp(-1j * k[0] * lengths)
     return lengths, dk * phase[:, None, None] * transform
 
 
-def power_spectrum(
-    series: SpectrumSeries, pad_factor: int = 8, hann: bool = False
-) -> tuple[Array, Array]:
+def power_spectrum(series: SpectrumSeries, pad_factor: int = 8) -> tuple[Array, Array]:
     """P(L) = sum over the retained n, m of |t_nm(L)|^2."""
-    lengths, amplitudes = length_spectrum(series, pad_factor=pad_factor, hann=hann)
+    lengths, amplitudes = length_spectrum(series, pad_factor=pad_factor)
     return lengths, np.sum(np.abs(amplitudes) ** 2, axis=(1, 2))
 
 

@@ -25,31 +25,25 @@ from .tables import write_table
 
 Array = NDArray[np.float64]
 
-_MODES = ("euclidean", "components")
+# Values computed at quad_order and at twice that must agree within this
+# (relative, floored at 1).
+_CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class InteractionSpec:
-    """Potential plus quadrature policy for pair matrix elements.
+    """Potential plus quadrature order for pair matrix elements.
 
-    In "euclidean" mode the potential is called with the interparticle
-    distance; in "components" mode with (|dx|, |dy|) separately. Values
-    computed at quad_order and at twice that must agree within check_tol
-    (relative, floored at 1).
+    The potential is called with the interparticle distance. `h_ijkl` and
+    `pair_hamiltonian` check their values against twice quad_order.
     """
 
-    potential: Callable[..., Array]
+    potential: Callable[[Array], Array]
     quad_order: int = 16
-    mode: str = "euclidean"
-    check_tol: float = 1e-6
 
     def __post_init__(self):
         if self.quad_order < 8:
             raise ValueError(f"quad_order must be >= 8, got {self.quad_order}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.check_tol <= 0.0:
-            raise ValueError("check_tol must be positive")
 
 
 def gaussian(strength: float, width: float) -> Callable[[Array], Array]:
@@ -122,11 +116,7 @@ def _contract(spec, x, y, left, right):
         rows = slice(start, start + _BLOCK_ROWS)
         dx = x[rows, None] - x[None, :]
         dy = y[rows, None] - y[None, :]
-        if spec.mode == "euclidean":
-            vm = spec.potential(np.hypot(dx, dy))
-        else:
-            vm = spec.potential(np.abs(dx), np.abs(dy))
-        vm = np.asarray(vm, dtype=float)
+        vm = np.asarray(spec.potential(np.hypot(dx, dy)), dtype=float)
         if vm.shape != dx.shape:
             raise ValueError("potential must evaluate elementwise on arrays")
         out += left[:, rows] @ (vm @ right.T)
@@ -154,14 +144,14 @@ def _check_indices(solution, indices):
 def _checked_at_doubled_order(value: Callable[[int], Array], spec: InteractionSpec):
     """value(spec.quad_order), verified against value(2 * spec.quad_order).
 
-    Raises ArithmeticError when max|coarse - fine| exceeds check_tol times
+    Raises ArithmeticError when max|coarse - fine| exceeds _CHECK_TOL times
     max(1, max|coarse|, max|fine|).
     """
     coarse = value(spec.quad_order)
     fine = value(2 * spec.quad_order)
     drift = float(np.max(np.abs(coarse - fine)))
     scale = max(1.0, float(np.max(np.abs(coarse))), float(np.max(np.abs(fine))))
-    if drift > spec.check_tol * scale:
+    if drift > _CHECK_TOL * scale:
         raise ArithmeticError(
             f"quadrature not converged at q={spec.quad_order}: "
             f"drift {drift:.3e} against q={2 * spec.quad_order}"
@@ -175,7 +165,7 @@ def h_ijkl(
     """One matrix element <ij|V|kl>; (i,k) pair particle 1, (j,l) particle 2.
 
     Evaluated at spec.quad_order and verified against twice that order;
-    disagreement beyond check_tol signals an under-resolved potential.
+    disagreement beyond _CHECK_TOL signals an under-resolved potential.
     """
     _check_indices(solution, (i, j, k, l))
     states = sorted(set((i, j, k, l)))

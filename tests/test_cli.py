@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import yaml
 from openbilliards.cli import (
     ConfigError,
     DEFAULT_CONFIG,
+    _parser,
     config_hash,
     load_config,
     main,
@@ -53,6 +55,15 @@ def test_readme_schema_is_the_default_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
     assert yaml.safe_load(block) == DEFAULT_CONFIG
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (CLI)", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    lines = [l.split("#", 1)[0] for l in block.splitlines() if l.startswith("openbilliards ")]
+    assert lines
+    for line in lines:
+        _parser().parse_args(shlex.split(line)[1:])
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -101,6 +112,10 @@ def test_overrides_apply_and_validate():
         ("two_body.potential=null", "'two_body.potential' must be a mapping"),
         ("sweep.phase_reference=global", "unknown config key 'sweep.phase_reference'"),
         ("sweep.n_lead=8", "unknown config key 'sweep.n_lead'"),
+        ("two_body.mode=components", "unknown config key 'two_body.mode'"),
+        ("spectra.hann=true", "unknown config key 'spectra.hann'"),
+        ("oned.points=10", "unknown config key 'oned.points'"),
+        ("basis.k_keep=0", "k_keep must be in 1.."),
     ],
 )
 def test_bad_override_is_config_error(tmp_path, capsys, override, message):
@@ -220,7 +235,7 @@ def test_spectrum_self_test(capsys):
 def test_validate_1d(tmp_path):
     cfg_path = write_yaml(
         tmp_path / "cfg.yaml",
-        {"oned": {"points": 200}, "output_dir": str(tmp_path / "out")},
+        {"output_dir": str(tmp_path / "out")},
     )
     assert main(["--config", cfg_path, "validate-1d"]) == 0
     text = (tmp_path / "out" / "barrier.csv").read_text()
@@ -293,6 +308,27 @@ def test_two_body_order_check_failure_exits_cleanly(tmp_path, monkeypatch, capsy
     assert err.startswith("error: quadrature not converged at q=16")
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "pair_energies.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("two-body", "two_body.states=298", "two_body.states must be between 1 and basis.k_keep"),
+        ("sweep", "sweep.k_max=40.0", "sweep needs 40 lead channels"),
+        ("spectrum", "spectra.windows=[{k_min: 1.1, k_max: 1.9, n_modes: 2}]", "need 2"),
+    ],
+)
+def test_rejected_run_exits_2_without_traceback(
+    tmp_path, monkeypatch, capsys, command, override, message
+):
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
+    cfg_path = small_rect_config(tmp_path)
+    assert main(["--config", cfg_path, "--set", override, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    if command == "two-body":  # rejected before the cavity is solved
+        assert not (tmp_path / "cachedir").exists()
 
 
 def test_bad_geometry_kind_is_config_error(tmp_path, capsys):

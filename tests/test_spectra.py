@@ -91,19 +91,6 @@ def test_two_path_peaks_stable_under_grid_doubling():
     assert np.max(np.abs(found[0] - found[1])) <= 0.05 * res
 
 
-def test_hann_taper_suppresses_sidelobes():
-    length_true = 5.0
-    k = np.linspace(6.0, 9.0, 241)
-    series = make_series(k, np.exp(1j * k * length_true))
-    lengths, plain = length_spectrum(series, pad_factor=8, hann=False)
-    _, tapered = length_spectrum(series, pad_factor=8, hann=True)
-    res = series.resolution
-    far = (lengths > length_true + 3.0 * res) & (lengths < length_true + 12.0 * res)
-    side_plain = np.max(np.abs(plain[far, 0, 0]))
-    side_hann = np.max(np.abs(tapered[far, 0, 0]))
-    assert side_hann < 0.2 * side_plain
-
-
 def test_power_spectrum_of_zero_signal_is_zero():
     k = np.linspace(6.0, 9.0, 64)
     series = make_series(k, np.zeros((64, 3, 3)))

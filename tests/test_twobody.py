@@ -102,22 +102,13 @@ def test_exchange_symmetries_hold_exactly(curved_solution):
     assert np.array_equal(mat, mat.T)
 
 
-@pytest.mark.parametrize("mode", ["euclidean", "components"])
-def test_blocked_contraction_matches_dense_potential(curved_solution, mode):
+def test_blocked_contraction_matches_dense_potential(curved_solution):
     q = 40  # 1600 grid points: several row blocks and a partial last one
     x, y, w2, _, _, _ = _gauss_grid(curved_solution.profile, q)
     assert x.size > 2 * _BLOCK_ROWS and x.size % _BLOCK_ROWS
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    if mode == "euclidean":
-        potential = gaussian(0.8, 0.6)
-        dense = potential(np.hypot(dx, dy))
-    else:
-        def potential(ax, ay):
-            return np.exp(-(ax**2) - 2.0 * ay)
-
-        dense = potential(np.abs(dx), np.abs(dy))
-    spec = InteractionSpec(potential=potential, quad_order=q, mode=mode)
+    potential = gaussian(0.8, 0.6)
+    dense = potential(np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :]))
+    spec = InteractionSpec(potential=potential, quad_order=q)
     rng = np.random.default_rng(5)
     f = rng.normal(size=(9, x.size)) * w2
     g = rng.normal(size=(4, x.size)) * w2
@@ -149,18 +140,6 @@ def test_unresolved_potential_is_signaled(rect_solution):
         pair_hamiltonian(rect_solution, [0, 1], spec)
 
 
-def test_components_mode_matches_euclidean_for_separable_gaussian(rect_solution):
-    euclid = InteractionSpec(potential=gaussian(1.0, 1.0), quad_order=12)
-    split = InteractionSpec(
-        potential=lambda dx, dy: np.exp(-(dx**2) - dy**2),
-        quad_order=12,
-        mode="components",
-    )
-    a = h_ijkl(rect_solution, 0, 1, 0, 1, euclid)
-    b = h_ijkl(rect_solution, 0, 1, 0, 1, split)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_contact_factory_peak_value():
     pot = contact_regularized(2.0, 0.1)
     assert pot(np.array(0.0)) == pytest.approx(2.0 / (2.0 * math.pi * 0.01))
@@ -169,10 +148,6 @@ def test_contact_factory_peak_value():
 def test_input_validation(rect_solution):
     with pytest.raises(ValueError):
         InteractionSpec(potential=constant_potential(1.0), quad_order=4)
-    with pytest.raises(ValueError):
-        InteractionSpec(potential=constant_potential(1.0), mode="radial")
-    with pytest.raises(ValueError):
-        InteractionSpec(potential=constant_potential(1.0), check_tol=0.0)
     spec = InteractionSpec(potential=constant_potential(1.0), quad_order=8)
     with pytest.raises(IndexError):
         h_ijkl(rect_solution, 0, 0, 0, 99, spec)
