@@ -74,21 +74,22 @@ def channel_space(energy: float, lead_width: float) -> LeadSpace:
 class OverlapTable:
     """Interface overlaps phi_jn between cavity states and lead modes.
 
-    Rows are retained cavity states j, columns lead channels n = 1..n_lead.
-    Energy-independent: built once per solution and reused across a sweep.
+    Rows are retained cavity states j, columns lead channels n = 1..n_max,
+    every transverse mode of the basis. Energy-independent: built once per
+    solution, so an S-matrix depends only on the solution and the energy.
     """
 
     lead_width: float
     energies: Array  # cavity eigenvalues E_j, shape (k_keep,)
-    left: Array  # (k_keep, n_lead), interface x = 0
-    right: Array  # (k_keep, n_lead), interface x = L
+    left: Array  # (k_keep, n_max), interface x = 0
+    right: Array  # (k_keep, n_max), interface x = L
 
     @property
     def n_lead(self) -> int:
         return self.left.shape[1]
 
 
-def overlaps(solution: CavitySolution, n_lead: int) -> OverlapTable:
+def overlaps(solution: CavitySolution) -> OverlapTable:
     """Closed-form overlaps of the retained eigenstates with lead modes.
 
     At the interfaces v = (y - Q)/w, so the y-integral against the lead
@@ -96,8 +97,6 @@ def overlaps(solution: CavitySolution, n_lead: int) -> OverlapTable:
     and the right interface picks up (-1)^m per axial mode. No quadrature.
     """
     basis = solution.basis
-    if not 1 <= n_lead <= basis.n_max:
-        raise ValueError(f"n_lead must be in 1..{basis.n_max}, got {n_lead}")
     profile = solution.profile
     w = profile.lead_width
     for x in (0.0, profile.length):
@@ -106,8 +105,8 @@ def overlaps(solution: CavitySolution, n_lead: int) -> OverlapTable:
     coeffs = solution.coeffs.reshape(solution.k_keep, basis.n_max, basis.m_max)
     norms = axial_norms(basis.m_max, profile.length)
     signs = np.where(np.arange(basis.m_max) % 2 == 0, 1.0, -1.0)
-    left = coeffs[:, :n_lead, :] @ norms
-    right = coeffs[:, :n_lead, :] @ (norms * signs)
+    left = coeffs @ norms
+    right = coeffs @ (norms * signs)
     return OverlapTable(
         lead_width=w,
         energies=solution.energies.copy(),

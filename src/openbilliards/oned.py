@@ -16,7 +16,6 @@ import numpy as np
 
 from .leads import LeadSpace, OverlapTable, r_matrix
 from .scattering import conductance, s_from_r
-from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -82,17 +81,3 @@ def rmatrix_transmission(energy: float, problem: BarrierProblem) -> float:
     """|S_21|^2 from the truncated reaction matrix."""
     space = lead_space(energy)
     return conductance(s_from_r(r_matrix(problem.table(), space), space))
-
-
-def write_comparison_csv(path, problem, energies, header_lines=()) -> float:
-    """Emit E, T_exact, T_rmatrix rows, one per energy.
-
-    Returns the largest |T_exact - T_rmatrix| written (0 for no energies).
-    """
-    energies = np.asarray(energies, dtype=float)
-    t_ex = np.array([exact_transmission(e, problem.height) for e in energies])
-    t_rm = np.array([rmatrix_transmission(e, problem) for e in energies])
-    write_table(
-        path, header_lines, ("E", "T_exact", "T_rmatrix"), (".12g",) * 3, energies, t_ex, t_rm
-    )
-    return float(np.max(np.abs(t_ex - t_rm), initial=0.0))

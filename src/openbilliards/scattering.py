@@ -131,15 +131,12 @@ class SweepResult:
         return ()
 
 
-def sweep_conductance(
-    solution: CavitySolution,
-    k_grid: Array,
-    n_lead: int | None = None,
-) -> SweepResult:
+def sweep_conductance(solution: CavitySolution, k_grid: Array) -> SweepResult:
     """Sweep S-matrices over `k_grid` (units pi/w), reusing one solution.
 
     Every point is computed, on channel thresholds and cavity levels too.
-    Below the first threshold no channel is open and T = 0.
+    Below the first threshold no channel is open and T = 0. T at a point
+    does not depend on the rest of the grid.
     """
     w = solution.profile.lead_width
     k_grid = np.asarray(k_grid, dtype=float)
@@ -148,17 +145,13 @@ def sweep_conductance(
     if np.any(k_grid <= 0.0):
         raise ValueError("k_grid values must be positive (units pi/w)")
     energies = (k_grid * math.pi / w) ** 2
-    needed = max(1, channel_space(float(np.max(energies)), w).n_open)
-    if n_lead is None:
-        n_lead = needed
-    if n_lead < needed:
-        raise ValueError(f"sweep reaches {needed} channels, n_lead={n_lead}")
-    if n_lead > solution.basis.n_max:
+    needed = channel_space(float(np.max(energies)), w).n_open
+    if needed > solution.basis.n_max:
         raise ValueError(
-            f"sweep needs {n_lead} lead channels but the basis holds "
+            f"sweep needs {needed} lead channels but the basis holds "
             f"n_max={solution.basis.n_max} transverse modes"
         )
-    table = overlaps(solution, n_lead)
+    table = overlaps(solution)
 
     transmission, n_open, defects = [], [], []
     blocks: list[CArray] = []

@@ -140,7 +140,7 @@ def test_criterion_2_rectangle_limit():
             np.linspace(3.15, 3.85, 16),
         ]
     )
-    res = sweep_conductance(gsol, k_grid, n_lead=8)
+    res = sweep_conductance(gsol, k_grid)
     cond_err = np.max(np.abs(res.transmission - res.n_open))
     elapsed = time.perf_counter() - t0
     _gate(
@@ -184,7 +184,7 @@ def test_criterion_3_assembly_oracle():
 
 def test_criterion_4_smatrix_properties(reference_profile, reference_solution):
     w = reference_profile.lead_width
-    table = overlaps(reference_solution, 18)
+    table = overlaps(reference_solution)
     rng = np.random.default_rng(2026)
     worst_unitary = worst_symmetric = 0.0
     per_point = []
@@ -214,7 +214,7 @@ def test_criterion_4_smatrix_properties(reference_profile, reference_solution):
     defects = {}
     for keep in (300, 600):
         sol = solve_cavity(reference_profile, small, k_keep=keep)
-        tab = overlaps(sol, 8)
+        tab = overlaps(sol)
         worst = 0.0
         for k_val in (4.3, 5.9, 7.7):
             energy = (k_val * math.pi / w) ** 2

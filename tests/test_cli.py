@@ -19,6 +19,7 @@ from openbilliards.cli import (
     main,
     run_validation,
 )
+from openbilliards.oned import BarrierProblem, exact_transmission, rmatrix_transmission
 
 
 def write_yaml(path, payload):
@@ -123,6 +124,33 @@ def test_bad_override_is_config_error(tmp_path, capsys, override, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "case, fragments",
+    [
+        ("missing-config", ("cannot read config file", "absent.yaml")),
+        ("malformed-config", ("cannot read config file", "bad.yaml")),
+        ("malformed-override", ("override 'sweep.points=[1' is not valid YAML",)),
+        ("missing-geometry-csv", ("cannot read geometry.path", "absent.csv")),
+    ],
+)
+def test_unreadable_input_is_config_error(tmp_path, capsys, case, fragments):
+    (tmp_path / "bad.yaml").write_text("basis: [1\n", encoding="utf-8")
+    argv = {
+        "missing-config": ["--config", str(tmp_path / "absent.yaml")],
+        "malformed-config": ["--config", str(tmp_path / "bad.yaml")],
+        "malformed-override": ["--set", "sweep.points=[1"],
+        "missing-geometry-csv": [
+            "--set", "geometry.kind=csv", "--set", f"geometry.path={tmp_path / 'absent.csv'}"
+        ],
+    }[case]
+    assert main(["--output-dir", str(tmp_path / "out"), *argv, "solve-cavity"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(fragment in err for fragment in fragments)
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -232,17 +260,24 @@ def test_spectrum_self_test(capsys):
     assert "--self-test" in capsys.readouterr().err
 
 
-def test_validate_1d(tmp_path):
-    cfg_path = write_yaml(
-        tmp_path / "cfg.yaml",
-        {"output_dir": str(tmp_path / "out")},
+def test_validate_1d(capsys):
+    # validate's barrier entry runs acceptance criterion 1's grid
+    problem = BarrierProblem(height=1.0)
+    worst = max(
+        abs(rmatrix_transmission(e, problem) - exact_transmission(e, 1.0))
+        for e in np.linspace(0.1, 20.0, 200)
     )
-    assert main(["--config", cfg_path, "validate-1d"]) == 0
-    text = (tmp_path / "out" / "barrier.csv").read_text()
-    assert "E,T_exact,T_rmatrix" in text
-    # Every energy is written, E = V0 (an interior level) included.
-    rows = [l for l in text.splitlines() if not l.startswith("#")]
-    assert len(rows) == 1 + 200
+    clean, faulty = (
+        next(c for c in run_validation(inject_fault=f) if c["name"] == "barrier-rmatrix-vs-exact")
+        for f in (False, True)
+    )
+    assert clean["tolerance"] == 1e-3
+    assert clean["measured"] == worst and clean["pass"] is True
+    assert np.isfinite(faulty["measured"]) and faulty["pass"] is False
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-1d"])
+    assert exc.value.code == 2
+    assert "validate-1d" in capsys.readouterr().err
 
 
 def test_validate_report_and_negative_control(tmp_path):

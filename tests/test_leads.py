@@ -58,7 +58,7 @@ def test_neck_sets_effective_first_threshold():
 def test_rectangle_overlaps_select_matching_transverse_mode():
     length = 3.0
     sol = solve_cavity(make_rectangle(1.0, length, samples=512), BasisSpec(8, 6), 12)
-    table = overlaps(sol, n_lead=3)
+    table = overlaps(sol)
     # lowest four states are (m, n=1) for m = 0..3
     n0 = math.sqrt(1.0 / length)
     nm = math.sqrt(2.0 / length)
@@ -94,7 +94,7 @@ def overlap_by_quadrature(sol, x_pos, n_channel, panels=2000):
 def test_overlaps_match_direct_quadrature():
     profile = make_reference_cavity(samples=1024)
     sol = solve_cavity(profile, BasisSpec(24, 10), k_keep=20)
-    table = overlaps(sol, n_lead=6)
+    table = overlaps(sol)
     for n_channel in range(1, 7):
         left = overlap_by_quadrature(sol, 0.0, n_channel)
         right = overlap_by_quadrature(sol, profile.length, n_channel)
@@ -104,18 +104,11 @@ def test_overlaps_match_direct_quadrature():
 
 def test_overlaps_are_deterministic():
     sol = solve_cavity(make_reference_cavity(samples=512), BasisSpec(10, 6), 10)
-    a = overlaps(sol, n_lead=4)
-    b = overlaps(sol, n_lead=4)
+    a = overlaps(sol)
+    b = overlaps(sol)
+    assert a.n_lead == sol.basis.n_max  # every transverse mode of the basis
     assert np.array_equal(a.left, b.left)
     assert np.array_equal(a.right, b.right)
-
-
-def test_overlaps_channel_validation():
-    sol = solve_cavity(make_reference_cavity(samples=512), BasisSpec(10, 6), 10)
-    with pytest.raises(ValueError):
-        overlaps(sol, n_lead=0)
-    with pytest.raises(ValueError):
-        overlaps(sol, n_lead=7)
 
 
 def test_r_matrix_rank_one():
@@ -136,7 +129,7 @@ def test_r_matrix_rank_one():
 
 def test_r_matrix_exactly_symmetric():
     sol = solve_cavity(make_reference_cavity(samples=512), BasisSpec(16, 8), 40)
-    table = overlaps(sol, n_lead=4)
+    table = overlaps(sol)
     space = channel_space((4.3 * math.pi / table.lead_width) ** 2, table.lead_width)
     rmat = r_matrix(table, space)
     assert rmat.regular.shape == (8, 8)
@@ -146,7 +139,7 @@ def test_r_matrix_exactly_symmetric():
 
 def test_r_matrix_splits_off_the_nearest_level():
     sol = solve_cavity(make_reference_cavity(samples=512), BasisSpec(16, 8), 40)
-    table = overlaps(sol, n_lead=6)
+    table = overlaps(sol)
     target = float(sol.energies[12])
     for energy in (target, target + 1e-3):
         space = channel_space(energy, table.lead_width)
@@ -166,7 +159,7 @@ def test_r_matrix_splits_off_the_nearest_level():
 
 def test_r_matrix_sign_flips_across_pole():
     sol = solve_cavity(make_rectangle(1.0, 3.0, samples=512), BasisSpec(8, 6), 10)
-    table = overlaps(sol, n_lead=1)
+    table = overlaps(sol)
     pole = float(sol.energies[2])
     delta = 1e-5 * pole
 
@@ -184,8 +177,9 @@ def test_r_matrix_sign_flips_across_pole():
 
 
 def test_r_matrix_channel_capacity_check():
-    sol = solve_cavity(make_rectangle(1.0, 3.0, samples=512), BasisSpec(8, 6), 10)
-    table = overlaps(sol, n_lead=1)
+    sol = solve_cavity(make_rectangle(1.0, 3.0, samples=512), BasisSpec(8, 1), 8)
+    table = overlaps(sol)
+    assert table.n_lead == 1
     space = channel_space((2.5 * math.pi) ** 2, 1.0)
     with pytest.raises(ValueError):
         r_matrix(table, space)

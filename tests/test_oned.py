@@ -13,7 +13,6 @@ from openbilliards.oned import (
     exact_transmission,
     lead_space,
     rmatrix_transmission,
-    write_comparison_csv,
 )
 from openbilliards.scattering import conductance, s_from_r
 
@@ -186,21 +185,3 @@ def test_full_energy_scan_accuracy_and_speed():
     elapsed = time.perf_counter() - start
     assert worst <= 1e-3
     assert elapsed < 1.0
-
-
-def test_comparison_csv(tmp_path):
-    prob = BarrierProblem(height=1.0, m_trunc=200)
-    path = tmp_path / "barrier.csv"
-    energies = [0.5, 1.0, 2.0, 4.0]  # E = 1.0 is the m = 0 pole
-    worst = write_comparison_csv(path, prob, energies, ("units: E absolute",))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# units: E absolute"
-    assert lines[1] == "E,T_exact,T_rmatrix"
-    assert sum(l.startswith("#") for l in lines) == 1
-    data = np.genfromtxt(
-        [l for l in lines if not l.startswith("#")], delimiter=",", names=True
-    )
-    assert data["E"].tolist() == energies
-    np.testing.assert_allclose(data["T_exact"], data["T_rmatrix"], atol=5e-3)
-    written = np.max(np.abs(data["T_exact"] - data["T_rmatrix"]))
-    assert worst == pytest.approx(written, rel=1e-9, abs=1e-11)

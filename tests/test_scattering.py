@@ -130,7 +130,7 @@ def test_zero_reaction_matrix_blocks():
 
 
 def test_straight_guide_staircase(guide_solution):
-    table = overlaps(guide_solution, n_lead=3)
+    table = overlaps(guide_solution)
     width = table.lead_width
     for k_val in np.linspace(1.07, 2.93, 50):
         energy = (k_val * math.pi / width) ** 2
@@ -144,7 +144,7 @@ def test_straight_guide_staircase(guide_solution):
 
 
 def test_flux_conservation(guide_solution):
-    table = overlaps(guide_solution, n_lead=3)
+    table = overlaps(guide_solution)
     space = channel_space((2.5 * math.pi) ** 2, 1.0)
     smat = s_from_r(r_matrix(table, space), space)
     reflected = float(np.sum(np.abs(smat.r) ** 2))
@@ -153,7 +153,7 @@ def test_flux_conservation(guide_solution):
 
 def test_symmetric_cavity_has_equal_left_right_blocks():
     sol = solve_cavity(make_reference_cavity(samples=1024), BasisSpec(30, 16), 200)
-    table = overlaps(sol, n_lead=5)
+    table = overlaps(sol)
     w = table.lead_width
     space = channel_space((4.5 * math.pi / w) ** 2, w)
     smat = s_from_r(r_matrix(table, space), space)
@@ -207,9 +207,7 @@ def test_sweep_on_a_channel_threshold():
     assert np.max(np.abs(result.transmission[1:] - result.transmission[0])) < 1e-6
 
 
-def test_sweep_channel_validation(guide_solution):
-    with pytest.raises(ValueError):
-        sweep_conductance(guide_solution, np.linspace(1.1, 2.9, 5), n_lead=1)
+def test_sweep_channel_validation():
     sol_small = solve_cavity(
         make_rectangle(1.0, 0.5, samples=256), BasisSpec(6, 3), 18
     )
@@ -273,3 +271,15 @@ def test_conductance_bounded(guide_solution):
     result = sweep_conductance(guide_solution, np.linspace(1.05, 2.95, 40))
     assert np.all(result.transmission >= 0.0)
     assert np.all(result.transmission <= result.n_open + 1e-9)
+
+
+def test_sweep_point_does_not_depend_on_the_rest_of_the_grid(
+    reference_solution, reference_sweep
+):
+    full = reference_sweep
+    for lo, hi in ((3, 6), (6, 9), (9, 12), (12, 15), (15, 18)):
+        inside = np.flatnonzero((full.k >= lo) & (full.k <= hi))
+        part = sweep_conductance(reference_solution, full.k[inside])
+        assert np.array_equal(part.transmission, full.transmission[inside]), (lo, hi)
+        for block, i in zip(part.t_blocks, inside):
+            assert np.array_equal(block, full.t_blocks[i]), (lo, hi, full.k[i])
