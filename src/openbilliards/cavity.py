@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
-from scipy import linalg
 
 from .geometry import BoundaryProfile
 
@@ -107,6 +105,8 @@ def fft_cosine_integrals(values: Array, length: float, count: int | None = None)
     C^1, goes through the fast transform, so the error falls off like M^-4
     for smooth f.
     """
+    import scipy.fft
+
     values, count = _midpoint_setup(values, count)
     m_samples = values.size
     step = length / m_samples
@@ -135,6 +135,8 @@ def fft_sine_integrals(values: Array, length: float, count: int | None = None) -
     f at both ends (the odd extension of the remainder is continuous) is
     integrated exactly and only the rest is transformed.
     """
+    import scipy.fft
+
     values, count = _midpoint_setup(values, count)
     m_samples = values.size
     step = length / m_samples
@@ -422,6 +424,8 @@ def solve_cavity(profile: BoundaryProfile, basis: BasisSpec, k_keep: int) -> Cav
     walls), the two parity blocks are assembled and solved separately and
     their spectra merged; otherwise the full matrix is solved.
     """
+    from scipy import linalg
+
     if k_keep < 1 or k_keep > basis.size:
         raise ValueError(f"k_keep must be in 1..{basis.size}, got {k_keep}")
     leak = _parity_leak(_axial_tables(profile, basis.m_max))

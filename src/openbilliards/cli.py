@@ -43,6 +43,7 @@ from .leads import ReactionMatrix, channel_space, overlaps, r_matrix
 from .oned import BarrierProblem, exact_transmission, lead_space
 from .scattering import (
     cayley_smatrix,
+    check_sweep_grid,
     conductance,
     s_from_r,
     sweep_conductance,
@@ -54,6 +55,7 @@ from .spectra import (
     length_spectrum,
     peak_positions,
     uniform_series,
+    window_points,
     write_amplitude_csv,
     write_power_csv,
 )
@@ -270,14 +272,14 @@ def cmd_solve_cavity(cfg) -> int:
     return 0
 
 
-def _run_sweep(cfg, solution):
+def _sweep_grid(cfg):
     s = cfg["sweep"]
-    return sweep_conductance(solution, np.linspace(s["k_min"], s["k_max"], s["points"]))
+    return np.linspace(s["k_min"], s["k_max"], s["points"])
 
 
 def cmd_sweep(cfg) -> int:
     solution = get_solution(cfg)
-    result = _run_sweep(cfg, solution)
+    result = sweep_conductance(solution, _sweep_grid(cfg))
     out = _outdir(cfg)
     write_sweep_csv(result, out / "sweep.csv", header_lines(cfg))
     write_t_store(result, out / "tstore.bin")
@@ -290,11 +292,21 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_spectrum(cfg) -> int:
+    """Spectra of the sweep grid's points inside the windows, and only those.
+
+    A sweep point does not depend on the rest of the grid, so the points
+    swept here equal the full sweep's at the same k, bit for bit.
+    """
     solution = get_solution(cfg)
-    result = _run_sweep(cfg, solution)
+    grid = check_sweep_grid(solution, _sweep_grid(cfg))  # rejects what `sweep` rejects
+    windows = cfg["spectra"]["windows"]
+    if not windows:
+        raise ConfigError("spectra.windows is empty; spectrum has nothing to compute")
+    picked = [window_points(grid, (w["k_min"], w["k_max"])) for w in windows]
+    result = sweep_conductance(solution, grid[np.unique(np.concatenate(picked))])
     out = _outdir(cfg)
     pad = cfg["spectra"]["pad_factor"]
-    for window in cfg["spectra"]["windows"]:
+    for window in windows:
         lo, hi, n_modes = window["k_min"], window["k_max"], window["n_modes"]
         series = uniform_series(result, (lo, hi), n_modes)
         lengths, amps = length_spectrum(series, pad_factor=pad)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from .tables import write_table
 
@@ -198,6 +196,8 @@ def min_width(profile: BoundaryProfile) -> tuple[float, float]:
     Returns ``(x_min, w_min)``.  The sampled grid brackets the minimum and a
     bounded scalar minimization of the width callable polishes it.
     """
+    from scipy.optimize import minimize_scalar
+
     w = profile.width
     i = int(np.argmin(w))
     lo = profile.grid[max(i - 1, 0)]
@@ -286,6 +286,8 @@ def apply_surface_disorder(
     wall.  The spline is clamped to the unperturbed wall slope at x = 0 and
     x = length so the interfaces keep the exact lead width.
     """
+    from scipy.interpolate import CubicSpline
+
     if pieces < 2:
         raise GeometryError(f"need at least 2 pieces, got {pieces}")
     if roughness < 0.0:
@@ -347,20 +349,24 @@ def profile_from_csv(path, samples: int = 1024) -> BoundaryProfile:
     spline; the table must start at u = 0 and its last row defines the
     cavity length.
     """
-    xs, ps, qs = [], [], []
+    from scipy.interpolate import CubicSpline
+
+    rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["u", "P", "Q"]:
-            raise GeometryError(
-                f"profile CSV must have columns u,P,Q; got {reader.fieldnames}"
-            )
-        for row in reader:
-            xs.append(float(row["u"]))
-            ps.append(float(row["P"]))
-            qs.append(float(row["Q"]))
-    xs = np.asarray(xs)
-    ps = np.asarray(ps)
-    qs = np.asarray(qs)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != ["u", "P", "Q"]:
+            raise GeometryError(f"profile CSV must have columns u,P,Q; got {header}")
+        for number, row in enumerate(filter(None, reader), start=1):  # blank lines skipped
+            try:
+                u, upper, lower = map(float, row)
+            except ValueError as err:  # a field that is not a number, or not 3 fields
+                raise GeometryError(
+                    f"profile CSV {path}: data row {number} '{','.join(row)}' is not "
+                    f"three numbers u,P,Q ({err})"
+                ) from None
+            rows.append((u, upper, lower))
+    xs, ps, qs = np.asarray(rows, dtype=float).reshape(-1, 3).T
     if xs.size < 4:
         raise GeometryError(f"need at least 4 table rows, got {xs.size}")
     if xs[0] != 0.0:

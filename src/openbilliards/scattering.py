@@ -13,6 +13,7 @@ measured at each lead's own interface (x=0 left, x=L right).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ from .tables import write_table
 
 Array = NDArray[np.float64]
 CArray = NDArray[np.complex128]
+
+logger = logging.getLogger(__name__)
 
 
 def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
@@ -131,26 +134,46 @@ class SweepResult:
         return ()
 
 
-def sweep_conductance(solution: CavitySolution, k_grid: Array) -> SweepResult:
-    """Sweep S-matrices over `k_grid` (units pi/w), reusing one solution.
+def check_sweep_grid(solution: CavitySolution, k_grid: Array) -> Array:
+    """`k_grid` as a float array; ValueError unless `solution` can sweep it.
 
-    Every point is computed, on channel thresholds and cavity levels too.
-    Below the first threshold no channel is open and T = 0. T at a point
-    does not depend on the rest of the grid.
+    The grid (units pi/w) must be 1D, non-empty and positive, and its top
+    point must open no more lead channels than the basis has modes.
     """
-    w = solution.profile.lead_width
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
         raise ValueError("k_grid must be a non-empty 1D array")
     if np.any(k_grid <= 0.0):
         raise ValueError("k_grid values must be positive (units pi/w)")
-    energies = (k_grid * math.pi / w) ** 2
-    needed = channel_space(float(np.max(energies)), w).n_open
+    w = solution.profile.lead_width
+    k = float(np.max(k_grid)) * math.pi / w
+    needed = channel_space(k * k, w).n_open  # k * k: the sweep's own energy
     if needed > solution.basis.n_max:
         raise ValueError(
             f"sweep needs {needed} lead channels but the basis holds "
             f"n_max={solution.basis.n_max} transverse modes"
         )
+    return k_grid
+
+
+def sweep_conductance(solution: CavitySolution, k_grid: Array) -> SweepResult:
+    """Sweep S-matrices over `k_grid` (units pi/w), reusing one solution.
+
+    Every point is computed, on channel thresholds and cavity levels too.
+    Below the first threshold no channel is open and T = 0. T at a point
+    does not depend on the rest of the grid. A grid reaching past the axial
+    cutoff k_c = m_max*w/L logs a warning.
+    """
+    k_grid = check_sweep_grid(solution, k_grid)
+    w = solution.profile.lead_width
+    k_top = float(np.max(k_grid))
+    k_cutoff = solution.basis.m_max * w / solution.profile.length
+    if k_top > k_cutoff:
+        logger.warning(
+            "sweep reaches k = %.6g pi/w, past the axial cutoff k_c = m_max*w/L "
+            "= %.6g pi/w", k_top, k_cutoff,
+        )
+    energies = (k_grid * math.pi / w) ** 2
     table = overlaps(solution)
 
     transmission, n_open, defects = [], [], []

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.signal import find_peaks
 
 from .scattering import SweepResult
 from .tables import write_table
@@ -39,6 +38,20 @@ class SpectrumSeries:
         return 2.0 * math.pi / (self.k[-1] - self.k[0])
 
 
+def window_points(k: Array, window: tuple[float, float]) -> NDArray[np.intp]:
+    """Indices of the grid points `k` inside `window`, at least 8 of them.
+
+    `window` and `k` share their units (pi/w for a sweep grid).
+    """
+    lo, hi = window
+    if not lo < hi:
+        raise ValueError(f"empty window {window}")
+    inside = np.flatnonzero((k >= lo - GRID_RTOL) & (k <= hi + GRID_RTOL))
+    if inside.size < 8:
+        raise ValueError(f"window {window} covers only {inside.size} sweep points")
+    return inside
+
+
 def uniform_series(
     result: SweepResult, window: tuple[float, float], n_modes: int
 ) -> SpectrumSeries:
@@ -48,14 +61,10 @@ def uniform_series(
     must have at least `n_modes` channels open.
     """
     lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"empty window {window}")
+    inside = window_points(result.k, window)
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     scale = math.pi / result.lead_width
-    inside = np.flatnonzero((result.k >= lo - GRID_RTOL) & (result.k <= hi + GRID_RTOL))
-    if inside.size < 8:
-        raise ValueError(f"window {window} covers only {inside.size} sweep points")
     grid = result.k[inside]
     steps = np.diff(grid)
     if np.max(steps) - np.min(steps) > GRID_RTOL * max(abs(lo), abs(hi)):
@@ -118,9 +127,35 @@ def peak_positions(
         return np.empty(0)
     sub_l = lengths[mask]
     sub_v = values[mask]
-    idx, props = find_peaks(sub_v, prominence=min_prominence * np.max(sub_v))
-    order = np.argsort(props["prominences"])[::-1]
+    idx, prominences = _prominent_peaks(sub_v, min_prominence * np.max(sub_v))
+    order = np.argsort(prominences)[::-1]
     return sub_l[idx[order]]
+
+
+def _prominent_peaks(x: Array, threshold: float) -> tuple[NDArray[np.intp], Array]:
+    """Local maxima of `x` with prominence >= `threshold`, and their prominences.
+
+    The same peaks and values as ``scipy.signal.find_peaks(x,
+    prominence=threshold)``. A maximum is a run of equal samples with lower
+    neighbours on both sides, none at either end of `x`; it sits at the run's
+    middle index (rounded down). Its prominence is its value minus the higher
+    of two minima, each taken on one side over the samples up to the first
+    strictly higher one, or up to the end of `x`.
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, x.size - 1]
+    runs = x[starts]
+    top = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    prominences = np.empty(peaks.size)
+    for j, p in enumerate(peaks):
+        higher = np.flatnonzero(x > x[p])
+        split = np.searchsorted(higher, p)
+        left = higher[split - 1] + 1 if split > 0 else 0
+        right = higher[split] if split < higher.size else x.size
+        prominences[j] = x[p] - max(x[left : p + 1].min(), x[p:right].min())
+    keep = prominences >= threshold
+    return peaks[keep], prominences[keep]
 
 
 def write_amplitude_csv(path, lengths: Array, amplitude: CArray, header_lines=()):

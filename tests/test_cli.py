@@ -3,13 +3,18 @@
 import json
 import logging
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import openbilliards
+from openbilliards import cli
 from openbilliards.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -135,17 +140,25 @@ def test_bad_override_is_config_error(tmp_path, capsys, override, message):
         ("malformed-config", ("cannot read config file", "bad.yaml")),
         ("malformed-override", ("override 'sweep.points=[1' is not valid YAML",)),
         ("missing-geometry-csv", ("cannot read geometry.path", "absent.csv")),
+        ("short-geometry-csv-row", ("short.csv", "data row 2 '1,1'", "u,P,Q")),
+        ("non-numeric-geometry-csv", ("word.csv", "data row 3 'abc,1,0'", "'abc'")),
     ],
 )
 def test_unreadable_input_is_config_error(tmp_path, capsys, case, fragments):
     (tmp_path / "bad.yaml").write_text("basis: [1\n", encoding="utf-8")
+    (tmp_path / "short.csv").write_text("u,P,Q\n0,1,0\n1,1\n2,1,0\n3,1,0\n", encoding="utf-8")
+    (tmp_path / "word.csv").write_text("u,P,Q\n0,1,0\n1,1,0\nabc,1,0\n3,1,0\n", encoding="utf-8")
+
+    def csv_geometry(name):
+        return ["--set", "geometry.kind=csv", "--set", f"geometry.path={tmp_path / name}"]
+
     argv = {
         "missing-config": ["--config", str(tmp_path / "absent.yaml")],
         "malformed-config": ["--config", str(tmp_path / "bad.yaml")],
         "malformed-override": ["--set", "sweep.points=[1"],
-        "missing-geometry-csv": [
-            "--set", "geometry.kind=csv", "--set", f"geometry.path={tmp_path / 'absent.csv'}"
-        ],
+        "missing-geometry-csv": csv_geometry("absent.csv"),
+        "short-geometry-csv-row": csv_geometry("short.csv"),
+        "non-numeric-geometry-csv": csv_geometry("word.csv"),
     }[case]
     assert main(["--output-dir", str(tmp_path / "out"), *argv, "solve-cavity"]) == 2
     err = capsys.readouterr().err
@@ -243,6 +256,57 @@ def test_sweep_and_spectrum_outputs(tmp_path, monkeypatch):
     amp_lines = (out / "t11_1.1-1.9.csv").read_text().splitlines()
     assert amp_lines[0].startswith("# config ")
     assert "L,re_t,im_t,abs_t" in amp_lines
+
+
+def test_spectrum_sweeps_only_its_windows_and_matches_the_full_sweep(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
+    windows = [{"k_min": 1.1, "k_max": 1.5, "n_modes": 1}, {"k_min": 1.3, "k_max": 1.7, "n_modes": 1}]
+    cfg_path = small_rect_config(tmp_path, spectra={"windows": windows})
+    grid = np.linspace(1.05, 1.95, 40)
+    swept = []
+    real_sweep = cli.sweep_conductance
+
+    def recording_sweep(solution, k_grid):
+        swept.append(np.asarray(k_grid))
+        return real_sweep(solution, k_grid)
+
+    out = tmp_path / "out"
+    names = ("power_1.1-1.5.csv", "t11_1.1-1.5.csv", "power_1.3-1.7.csv", "t11_1.3-1.7.csv")
+    monkeypatch.setattr(cli, "sweep_conductance", lambda solution, _: real_sweep(solution, grid))
+    assert main(["--config", cfg_path, "spectrum"]) == 0
+    from_full_grid = {name: (out / name).read_bytes() for name in names}
+    monkeypatch.setattr(cli, "sweep_conductance", recording_sweep)
+    assert main(["--config", cfg_path, "spectrum"]) == 0
+    assert {name: (out / name).read_bytes() for name in names} == from_full_grid
+    # one sweep over the union of both windows' grid points, not the grid
+    inside = (grid >= 1.1 - 1e-9) & (grid <= 1.7 + 1e-9)
+    assert len(swept) == 1 and np.array_equal(swept[0], grid[inside])
+    assert inside.sum() < grid.size
+
+
+def test_no_scipy_module_is_loaded_on_the_warm_path(tmp_path, monkeypatch):
+    src = str(Path(openbilliards.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBILLIARDS_CACHE=str(tmp_path / "cachedir"))
+    report = "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    layers = ("cli", "geometry", "cavity", "leads", "scattering", "spectra", "oned", "twobody")
+    imports = "import sys, importlib; [importlib.import_module('openbilliards.' + m) for m in %r]"
+    done = subprocess.run(
+        [sys.executable, "-c", imports % (layers,) + report],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+    cfg_path = small_rect_config(tmp_path)
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", env["OPENBILLIARDS_CACHE"])
+    assert main(["--config", cfg_path, "solve-cavity"]) == 0  # fills the cache
+    run = "import sys; from openbilliards.cli import main; assert main(%r) == 0" % (
+        ["--config", cfg_path, "spectrum"],
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", run + report], env=env, capture_output=True, text=True, check=True
+    )
+    assert (tmp_path / "out" / "power_1.1-1.9.csv").exists()
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_spectrum_self_test(capsys):
@@ -351,6 +415,10 @@ def test_two_body_order_check_failure_exits_cleanly(tmp_path, monkeypatch, capsy
         ("two-body", "two_body.states=298", "two_body.states must be between 1 and basis.k_keep"),
         ("sweep", "sweep.k_max=40.0", "sweep needs 40 lead channels"),
         ("spectrum", "spectra.windows=[{k_min: 1.1, k_max: 1.9, n_modes: 2}]", "need 2"),
+        ("spectrum", "sweep.k_max=40.0", "sweep needs 40 lead channels"),
+        ("spectrum", "spectra.windows=[{k_min: 3.0, k_max: 4.0, n_modes: 1}]",
+         "covers only 0 sweep points"),
+        ("spectrum", "spectra.windows=[]", "spectra.windows is empty"),
     ],
 )
 def test_rejected_run_exits_2_without_traceback(

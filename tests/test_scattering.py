@@ -1,6 +1,7 @@
 """S-matrix construction, guide staircase, sweeps, and output formats."""
 
 import io
+import logging
 import math
 import warnings
 
@@ -213,6 +214,25 @@ def test_sweep_channel_validation():
     )
     with pytest.raises(ValueError):
         sweep_conductance(sol_small, np.array([4.5]))
+
+
+def test_sweep_past_the_axial_cutoff_logs_one_warning(caplog, reference_solution):
+    # k_c = m_max * w / L = 6 * 1 / 3 = 2 (units pi/w); n_max 4 allows k < 5
+    sol = solve_cavity(make_rectangle(1.0, 3.0, samples=256), BasisSpec(6, 4), 24)
+    with caplog.at_level(logging.WARNING, logger="openbilliards.scattering"):
+        sweep_conductance(sol, np.array([1.5, 1.9]))
+        assert caplog.records == []
+        sweep_conductance(sol, np.array([1.5, 2.5]))
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "2.5" in record.getMessage() and "k_c" in record.getMessage()
+        caplog.clear()
+        with pytest.raises(ValueError, match="sweep needs 5 lead channels"):
+            sweep_conductance(sol, np.array([5.5]))  # rejected before any warning
+        assert caplog.records == []
+        # the default config's grid tops out at 19 < k_c = 20.86
+        sweep_conductance(reference_solution, np.array([19.0]))
+        assert caplog.records == []
 
 
 def test_sweep_csv_roundtrip(tmp_path, guide_solution):

@@ -15,6 +15,7 @@ from openbilliards.spectra import (
     write_amplitude_csv,
     write_power_csv,
 )
+from openbilliards.spectra import _prominent_peaks
 
 
 def make_series(k, samples):
@@ -196,3 +197,24 @@ def test_csv_writers_are_deterministic(tmp_path):
         [l for l in ptext if not l.startswith("#")], delimiter=",", names=True
     )
     np.testing.assert_allclose(pbody["P"], power, rtol=1e-10)
+
+
+def test_peak_search_matches_scipy_find_peaks(reference_sweep):
+    from scipy.signal import find_peaks
+
+    signals = []
+    for lo, hi, n_modes in ((3.0, 6.0, 3), (6.0, 9.0, 6), (9.0, 12.0, 9), (12.0, 15.0, 12)):
+        series = uniform_series(reference_sweep, (lo, hi), n_modes)
+        lengths, power = power_spectrum(series, pad_factor=8)
+        signals += [power, power[(lengths >= 2.0) & (lengths <= 20.0)]]
+    rng = np.random.default_rng(7)
+    for i in range(1200):
+        x = rng.normal(size=int(rng.integers(1, 300)))
+        signals.append(np.round(x, 1) if i % 3 == 0 else x)  # ties and plateaus
+    for x in signals:
+        for fraction in (0.0, 0.01, 0.1, 0.5):
+            threshold = fraction * np.max(x)
+            expected, props = find_peaks(x, prominence=threshold)
+            found, prominences = _prominent_peaks(x, threshold)
+            assert np.array_equal(found, expected)
+            assert np.array_equal(prominences, props["prominences"])
