@@ -82,28 +82,26 @@ def _edge_values(values: Array) -> tuple[float, float]:
     return float(_VALUE_W @ values[:5]), float(_VALUE_W @ values[:-6:-1])
 
 
-def _midpoint_setup(values: Array, count: int | None) -> tuple[Array, int]:
+def _midpoint_setup(values: Array, count: int) -> tuple[Array, int]:
     """Midpoint samples as floats and the moment count, both validated."""
     values = np.asarray(values, dtype=float)
     m_samples = values.size
     if m_samples < 8:
         raise ValueError(f"need at least 8 midpoint samples, got {m_samples}")
-    if count is None:
-        count = m_samples // 2
     if count > m_samples:
         raise ValueError(f"count {count} exceeds sample count {m_samples}")
     return values, count
 
 
-def fft_cosine_integrals(values: Array, length: float, count: int | None = None) -> Array:
+def fft_cosine_integrals(values: Array, length: float, count: int) -> Array:
     """Cosine moments ``I_p = int_0^length f(u) cos(p pi u / length) du``.
 
     values are f sampled at the midpoints u_i = (i + 1/2) length / M, any
-    M >= 8; moments p = 0..count-1 are returned (count defaults to M // 2)
-    as an array of shape (count,).  The quadratic matching f' at both ends
-    is integrated exactly and only the remainder, whose even extension is
-    C^1, goes through the fast transform, so the error falls off like M^-4
-    for smooth f.
+    M >= 8; moments p = 0..count-1 (count <= M) are returned as an array of
+    shape (count,).  The quadratic matching f' at both ends is integrated
+    exactly and only the remainder, whose even extension is C^1, goes
+    through the fast transform, so the error falls off like M^-4 for
+    smooth f.
     """
     import scipy.fft
 
@@ -127,7 +125,7 @@ def fft_cosine_integrals(values: Array, length: float, count: int | None = None)
     return core + exact
 
 
-def fft_sine_integrals(values: Array, length: float, count: int | None = None) -> Array:
+def fft_sine_integrals(values: Array, length: float, count: int) -> Array:
     """Sine moments ``I_p = int_0^length f(u) sin(p pi u / length) du``.
 
     Returns moments for p = 1..count as an array of shape (count,).  Input
@@ -243,6 +241,15 @@ def axial_norms(m_max: int, length: float) -> Array:
     norms = np.full(m_max, math.sqrt(2.0 / length))
     norms[0] = math.sqrt(1.0 / length)
     return norms
+
+
+def _factors(basis: BasisSpec, length: float, u: Array, v: Array) -> tuple[Array, Array]:
+    """The basis factors c_m(u), shape (m_max, u.size), and s_n(v), (n_max, v.size)."""
+    kappa = np.arange(basis.m_max) * math.pi / length
+    cos_part = axial_norms(basis.m_max, length)[:, None] * np.cos(kappa[:, None] * u[None, :])
+    n_modes = np.arange(1, basis.n_max + 1)
+    sin_part = math.sqrt(2.0) * np.sin(np.pi * n_modes[:, None] * v[None, :])
+    return cos_part, sin_part
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +411,9 @@ class CavitySolution:
 
     coeffs rows are eigenvectors in the flat (n, m) basis ordering; rows are
     Euclidean-orthonormal, which is J-weighted orthonormality of the
-    wavefunctions.  energies are sorted ascending and all positive.
+    wavefunctions.  energies are sorted ascending and all positive.  Other
+    modules read the states through `interface_values` and `grid_values`,
+    not through coeffs.
     """
 
     profile: BoundaryProfile
@@ -415,6 +424,24 @@ class CavitySolution:
     @property
     def k_keep(self) -> int:
         return self.energies.size
+
+    def interface_values(self) -> tuple[Array, Array]:
+        """(left, right), each (k_keep, n_max): sum_m B_jnm c_m(u) at u = 0 and
+        at u = length, where c_m(length) = (-1)^m c_m(0)."""
+        n_max, m_max = self.basis.n_max, self.basis.m_max
+        norms = axial_norms(m_max, self.profile.length)
+        signs = np.where(np.arange(m_max) % 2 == 0, 1.0, -1.0)
+        coeffs = self.coeffs.reshape(self.k_keep, n_max, m_max)
+        return coeffs @ norms, coeffs @ (norms * signs)
+
+    def grid_values(self, states, u: Array, v: Array) -> Array:
+        """Expansions of `states` on the tensor grid u x v, without 1/sqrt(J):
+        shape (len(states), u.size * v.size), u-major."""
+        basis = self.basis
+        cos_part, sin_part = _factors(basis, self.profile.length, u, v)
+        coeffs = self.coeffs[list(states)].reshape(len(states), basis.n_max, basis.m_max)
+        vals = np.einsum("snm,ma,nb->sab", coeffs, cos_part, sin_part)
+        return vals.reshape(len(states), u.size * v.size)
 
 
 def solve_cavity(profile: BoundaryProfile, basis: BasisSpec, k_keep: int) -> CavitySolution:
@@ -454,7 +481,7 @@ def solve_cavity(profile: BoundaryProfile, basis: BasisSpec, k_keep: int) -> Cav
     all_energies = np.concatenate([e for e, _ in blocks])
     order = np.argsort(all_energies, kind="stable")[:k_keep]
     energies = all_energies[order]
-    if energies[0] <= 0.0:
+    if not energies[0] > 0.0:  # NaN fails too
         raise ArithmeticError(
             f"lowest eigenvalue {energies[0]:.3e} not positive; assembly is inconsistent"
         )
@@ -490,12 +517,7 @@ def eval_wavefunction(
     v = (y - np.asarray(profile.lower_fn(xc), dtype=float)) / width
     inside = in_x & (v >= 0.0) & (v <= 1.0)
 
-    norms = axial_norms(basis.m_max, profile.length)
-    kappa = np.arange(basis.m_max) * math.pi / profile.length
-    cos_part = norms[:, None] * np.cos(kappa[:, None] * xc[None, :])
-    n_modes = np.arange(1, basis.n_max + 1)
-    sin_part = math.sqrt(2.0) * np.sin(np.pi * n_modes[:, None] * v[None, :])
-
+    cos_part, sin_part = _factors(basis, profile.length, xc, v)
     coeff = solution.coeffs[index].reshape(basis.n_max, basis.m_max)
     vals = np.einsum("np,np->p", sin_part, coeff @ cos_part)
     vals = vals / np.sqrt(width)

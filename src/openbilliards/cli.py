@@ -94,7 +94,6 @@ DEFAULT_CONFIG = {
         "quad_order": 16,
     },
     "output_dir": "out",
-    "cache": True,
 }
 
 # What a value must look like where DEFAULT_CONFIG holds null (an optional
@@ -138,6 +137,8 @@ def _check(value, schema, path):
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
             raise ConfigError(f"'{path}' must be {kind.__name__}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"'{path}' must be finite, got {value!r}")
 
 
 def _apply(base, user):
@@ -239,7 +240,7 @@ def get_solution(cfg):
     key_src = f"{profile.content_hash()}:{basis.m_max}:{basis.n_max}:{k_keep}"
     key = hashlib.sha256(key_src.encode()).hexdigest()[:20]
     slot = _cache_dir(cfg) / key
-    if cfg["cache"] and (slot / "meta.json").exists():
+    if (slot / "meta.json").exists():
         try:
             solution = load_solution(slot, profile)
             if solution.k_keep == k_keep:
@@ -249,9 +250,8 @@ def get_solution(cfg):
             logger.warning("cache entry %s unusable (%s); recomputing", key, err)
     logger.info("cache miss %s; solving", key)
     solution = solve_cavity(profile, basis, k_keep=k_keep)
-    if cfg["cache"]:
-        shutil.rmtree(slot, ignore_errors=True)  # an unusable or partial entry
-        save_solution(solution, slot)
+    shutil.rmtree(slot, ignore_errors=True)  # an unusable or partial entry
+    save_solution(solution, slot)
     return solution
 
 

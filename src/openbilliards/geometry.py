@@ -87,9 +87,13 @@ class BoundaryProfile:
         return np.asarray(self.upper_fn(x)) - np.asarray(self.lower_fn(x))
 
     def validate(self) -> None:
-        """Check wall ordering and lead matching; raise GeometryError if bad."""
-        if self.length <= 0.0:
-            raise GeometryError(f"cavity length must be positive, got {self.length}")
+        """Check finite walls, wall ordering and lead matching; raise GeometryError if bad."""
+        if not 0.0 < self.length < math.inf:
+            raise GeometryError(f"cavity length must be positive and finite, got {self.length}")
+        for name in ("upper", "lower", "upper_slope", "lower_slope"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise GeometryError(f"{name} is not finite at x = {self.grid[bad[0]]:.6f}")
         w = self.width
         if np.any(w <= 0.0):
             i = int(np.argmin(w))
@@ -98,7 +102,7 @@ class BoundaryProfile:
             )
         for x_end in (0.0, self.length):
             w_end = float(self.width_at(x_end))
-            if abs(w_end - self.lead_width) > 1e-9 * self.lead_width:
+            if not abs(w_end - self.lead_width) <= 1e-9 * self.lead_width:
                 raise GeometryError(
                     f"interface width {w_end!r} at x = {x_end} does not match "
                     f"lead width {self.lead_width!r}"
@@ -290,7 +294,7 @@ def apply_surface_disorder(
 
     if pieces < 2:
         raise GeometryError(f"need at least 2 pieces, got {pieces}")
-    if roughness < 0.0:
+    if not roughness >= 0.0:  # NaN fails too
         raise GeometryError(f"roughness must be non-negative, got {roughness}")
 
     length = profile.length
@@ -309,16 +313,9 @@ def apply_surface_disorder(
     slope0 = float(profile.lower_slope_fn(0.0))
     slope1 = float(profile.lower_slope_fn(length))
     spline = CubicSpline(x_all, y_all, bc_type=((1, slope0), (1, slope1)))
-    spline_slope = spline.derivative()
-
-    def lower_fn(x):
-        return spline(np.asarray(x, dtype=float))
-
-    def lower_slope_fn(x):
-        return spline_slope(np.asarray(x, dtype=float))
-
     new = _build_profile(
-        length, profile.samples, profile.upper_fn, lower_fn, profile.upper_slope_fn, lower_slope_fn
+        length, profile.samples, profile.upper_fn, spline, profile.upper_slope_fn,
+        spline.derivative(),
     )
     logger.info(
         "surface disorder applied: roughness=%g pieces=%d seed=%d min width %.6f",
@@ -366,7 +363,11 @@ def profile_from_csv(path, samples: int = 1024) -> BoundaryProfile:
                     f"three numbers u,P,Q ({err})"
                 ) from None
             rows.append((u, upper, lower))
-    xs, ps, qs = np.asarray(rows, dtype=float).reshape(-1, 3).T
+    table = np.asarray(rows, dtype=float).reshape(-1, 3)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise GeometryError(f"profile CSV {path}: data row {np.argmin(finite) + 1} is not finite")
+    xs, ps, qs = table.T
     if xs.size < 4:
         raise GeometryError(f"need at least 4 table rows, got {xs.size}")
     if xs[0] != 0.0:
@@ -374,15 +375,8 @@ def profile_from_csv(path, samples: int = 1024) -> BoundaryProfile:
     if np.any(np.diff(xs) <= 0.0):
         raise GeometryError("profile table abscissas must be strictly increasing")
 
-    upper_spline = CubicSpline(xs, ps)
-    lower_spline = CubicSpline(xs, qs)
-    upper_slope = upper_spline.derivative()
-    lower_slope = lower_spline.derivative()
+    upper = CubicSpline(xs, ps)
+    lower = CubicSpline(xs, qs)
     return _build_profile(
-        float(xs[-1]),
-        samples,
-        lambda x: upper_spline(np.asarray(x, dtype=float)),
-        lambda x: lower_spline(np.asarray(x, dtype=float)),
-        lambda x: upper_slope(np.asarray(x, dtype=float)),
-        lambda x: lower_slope(np.asarray(x, dtype=float)),
+        float(xs[-1]), samples, upper, lower, upper.derivative(), lower.derivative()
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .cavity import CavitySolution, axial_norms
+from .cavity import CavitySolution
 
 Array = NDArray[np.float64]
 
@@ -93,20 +93,16 @@ def overlaps(solution: CavitySolution) -> OverlapTable:
     """Closed-form overlaps of the retained eigenstates with lead modes.
 
     At the interfaces v = (y - Q)/w, so the y-integral against the lead
-    mode collapses by sine orthogonality: phi_jn(left) = sum_m B_jnm c_m(0)
-    and the right interface picks up (-1)^m per axial mode. No quadrature.
+    mode collapses by sine orthogonality: phi_jn is the state's expansion
+    coefficient of s_n at the interface (`CavitySolution.interface_values`).
+    No quadrature.
     """
-    basis = solution.basis
     profile = solution.profile
     w = profile.lead_width
     for x in (0.0, profile.length):
         if abs(float(profile.width_at(x)) - w) > INTERFACE_TOL:
             raise ValueError(f"interface width at x={x} deviates from lead width")
-    coeffs = solution.coeffs.reshape(solution.k_keep, basis.n_max, basis.m_max)
-    norms = axial_norms(basis.m_max, profile.length)
-    signs = np.where(np.arange(basis.m_max) % 2 == 0, 1.0, -1.0)
-    left = coeffs @ norms
-    right = coeffs @ (norms * signs)
+    left, right = solution.interface_values()
     return OverlapTable(
         lead_width=w,
         energies=solution.energies.copy(),

@@ -137,14 +137,14 @@ class SweepResult:
 def check_sweep_grid(solution: CavitySolution, k_grid: Array) -> Array:
     """`k_grid` as a float array; ValueError unless `solution` can sweep it.
 
-    The grid (units pi/w) must be 1D, non-empty and positive, and its top
-    point must open no more lead channels than the basis has modes.
+    The grid (units pi/w) must be 1D, non-empty, positive and finite, and
+    its top point must open no more lead channels than the basis has modes.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
         raise ValueError("k_grid must be a non-empty 1D array")
-    if np.any(k_grid <= 0.0):
-        raise ValueError("k_grid values must be positive (units pi/w)")
+    if not np.all((k_grid > 0.0) & (k_grid < math.inf)):
+        raise ValueError("k_grid values must be positive and finite (units pi/w)")
     w = solution.profile.lead_width
     k = float(np.max(k_grid)) * math.pi / w
     needed = channel_space(k * k, w).n_open  # k * k: the sweep's own energy

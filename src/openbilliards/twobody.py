@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .cavity import CavitySolution, axial_norms, eval_wavefunction
+from .cavity import CavitySolution, eval_wavefunction
 from .tables import write_table
 
 Array = NDArray[np.float64]
@@ -88,22 +88,6 @@ def _gauss_grid(profile, q):
     return x, y, w2, u, v, width
 
 
-def _state_values(solution, states, u, v):
-    """Harmonic expansions (no 1/sqrt(J)) on the tensor grid, flattened."""
-    basis = solution.basis
-    length = solution.profile.length
-    norms = axial_norms(basis.m_max, length)
-    kappa = np.arange(basis.m_max) * math.pi / length
-    cos_part = norms[:, None] * np.cos(kappa[:, None] * u[None, :])
-    n_modes = np.arange(1, basis.n_max + 1)
-    sin_part = math.sqrt(2.0) * np.sin(math.pi * n_modes[:, None] * v[None, :])
-    coeffs = solution.coeffs[list(states)].reshape(
-        len(states), basis.n_max, basis.m_max
-    )
-    vals = np.einsum("snm,ma,nb->sab", coeffs, cos_part, sin_part)
-    return vals.reshape(len(states), u.size * v.size)
-
-
 # Rows per block of the potential matrix, which is never held whole: at
 # q = 80 (6400 points) each temporary is 26 MB instead of 328 MB.
 _BLOCK_ROWS = 512
@@ -126,7 +110,7 @@ def _contract(spec, x, y, left, right):
 def _pair_block(solution, states, spec, q):
     """G[(i,k),(j,l)] = sum over both grids of phi_i phi_k V phi_j phi_l."""
     x, y, w2, u, v, _ = _gauss_grid(solution.profile, q)
-    phi = _state_values(solution, states, u, v)
+    phi = solution.grid_values(states, u, v)
     ns = len(states)
     f = (phi[:, None, :] * phi[None, :, :]).reshape(ns * ns, x.size) * w2
     g = _contract(spec, x, y, f, f)

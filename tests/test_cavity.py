@@ -5,8 +5,10 @@ Gauss-Legendre grid without any of the FFT/product-to-sum machinery, so the
 two paths share nothing but the basis definition.
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,3 +410,22 @@ def test_grid_contract_enforced():
     profile = make_reference_cavity(samples=256)
     with pytest.raises(ValueError):
         assemble_hamiltonian(profile, BasisSpec(200, 4))
+
+
+def test_only_cavity_reads_the_product_basis():
+    """No other module reads `.coeffs` or `axial_norms`: the (n, m) layout of
+    the eigenvectors and the basis normalisation stay inside cavity.py."""
+    package = Path(__file__).resolve().parents[1] / "src" / "openbilliards"
+    offences = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cavity.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "axial_norms"):
+                offences.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                offences += [
+                    f"{path.name}:{node.lineno} imports axial_norms"
+                    for alias in node.names if alias.name == "axial_norms"
+                ]
+    assert offences == []

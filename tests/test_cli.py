@@ -122,6 +122,12 @@ def test_overrides_apply_and_validate():
         ("spectra.hann=true", "unknown config key 'spectra.hann'"),
         ("oned.points=10", "unknown config key 'oned.points'"),
         ("basis.k_keep=0", "k_keep must be in 1.."),
+        ("geometry.wiggle={amplitude: .nan, cycles: 4}",
+         "'geometry.wiggle.amplitude' must be finite, got nan"),
+        ("geometry.disorder={roughness: .nan, pieces: 8, seed: 1}",
+         "'geometry.disorder.roughness' must be finite, got nan"),
+        ("sweep.k_max=.nan", "'sweep.k_max' must be finite, got nan"),
+        ("sweep.k_max=.inf", "'sweep.k_max' must be finite, got inf"),
     ],
 )
 def test_bad_override_is_config_error(tmp_path, capsys, override, message):
@@ -142,12 +148,14 @@ def test_bad_override_is_config_error(tmp_path, capsys, override, message):
         ("missing-geometry-csv", ("cannot read geometry.path", "absent.csv")),
         ("short-geometry-csv-row", ("short.csv", "data row 2 '1,1'", "u,P,Q")),
         ("non-numeric-geometry-csv", ("word.csv", "data row 3 'abc,1,0'", "'abc'")),
+        ("nan-geometry-csv", ("nan.csv", "data row 2 is not finite")),
     ],
 )
 def test_unreadable_input_is_config_error(tmp_path, capsys, case, fragments):
     (tmp_path / "bad.yaml").write_text("basis: [1\n", encoding="utf-8")
     (tmp_path / "short.csv").write_text("u,P,Q\n0,1,0\n1,1\n2,1,0\n3,1,0\n", encoding="utf-8")
     (tmp_path / "word.csv").write_text("u,P,Q\n0,1,0\n1,1,0\nabc,1,0\n3,1,0\n", encoding="utf-8")
+    (tmp_path / "nan.csv").write_text("u,P,Q\n0,1,0\n1,nan,0\n2,1,0\n3,1,0\n", encoding="utf-8")
 
     def csv_geometry(name):
         return ["--set", "geometry.kind=csv", "--set", f"geometry.path={tmp_path / name}"]
@@ -159,6 +167,7 @@ def test_unreadable_input_is_config_error(tmp_path, capsys, case, fragments):
         "missing-geometry-csv": csv_geometry("absent.csv"),
         "short-geometry-csv-row": csv_geometry("short.csv"),
         "non-numeric-geometry-csv": csv_geometry("word.csv"),
+        "nan-geometry-csv": csv_geometry("nan.csv"),
     }[case]
     assert main(["--output-dir", str(tmp_path / "out"), *argv, "solve-cavity"]) == 2
     err = capsys.readouterr().err

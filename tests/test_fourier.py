@@ -83,5 +83,5 @@ def test_error_falls_fast_with_grid():
 def test_count_validation():
     with pytest.raises(ValueError):
         fft_cosine_integrals(np.ones(512), 1.0, count=513)
-    with pytest.raises(ValueError):
-        fft_cosine_integrals(np.ones(4), 1.0)
+    with pytest.raises(ValueError, match="at least 8 midpoint samples"):
+        fft_cosine_integrals(np.ones(4), 1.0, count=2)

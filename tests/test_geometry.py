@@ -116,6 +116,14 @@ def test_disorder_wall_crossing_detected():
         apply_surface_disorder(base, roughness=2.0, pieces=100, seed=3)
 
 
+def test_non_finite_walls_rejected():
+    base = make_reference_cavity(samples=512)
+    with pytest.raises(GeometryError, match="upper is not finite"):
+        apply_wiggle(base, amplitude=float("nan"), cycles=4)
+    with pytest.raises(GeometryError, match="roughness must be non-negative, got nan"):
+        apply_surface_disorder(base, roughness=float("nan"), pieces=8, seed=1)
+
+
 def test_profile_csv_roundtrip(tmp_path):
     p = make_reference_cavity(samples=512)
     path = tmp_path / "profile.csv"

@@ -214,6 +214,9 @@ def test_sweep_channel_validation():
     )
     with pytest.raises(ValueError):
         sweep_conductance(sol_small, np.array([4.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sweep_conductance(sol_small, np.array([1.5, bad]))
 
 
 def test_sweep_past_the_axial_cutoff_logs_one_warning(caplog, reference_solution):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from openbilliards.cavity import BasisSpec, solve_cavity
+from openbilliards.cavity import BasisSpec, eval_wavefunction, solve_cavity
 from openbilliards.geometry import make_rectangle, make_reference_cavity
 from openbilliards.twobody import (
     _BLOCK_ROWS,
@@ -67,6 +67,16 @@ def test_constant_potential_shifts_pair_energies(curved_solution):
     singles = curved_solution.energies[states]
     expected = np.sort(np.add.outer(singles, singles).ravel()) + c
     np.testing.assert_allclose(pair, expected, atol=1e-7)
+
+
+def test_grid_values_are_the_wavefunctions_times_sqrt_j(curved_solution):
+    q = 24
+    x, y, _, u, v, width = _gauss_grid(curved_solution.profile, q)
+    states = [0, 3, 7, 9]
+    grid = curved_solution.grid_values(states, u, v)
+    assert grid.shape == (len(states), q * q)
+    physical = np.stack([eval_wavefunction(curved_solution, s, x, y) for s in states])
+    np.testing.assert_allclose(grid / np.sqrt(np.repeat(width, q)), physical, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("geometry", ["rectangle", "curved"])
