@@ -175,7 +175,6 @@ class VTables:
     them against brute-force quadrature.
     """
 
-    n_max: int
     shear_0: Array
     shear_1: Array
     stretch_0: Array
@@ -203,7 +202,6 @@ def build_v_tables(n_max: int) -> VTables:
     stretch_1 = np.where(diag, (ni * np.pi) ** 2 / 4.0, stretch_1_off)
     stretch_2 = np.where(diag, (ni * np.pi) ** 2 / 6.0 + 0.25, stretch_2_off)
     return VTables(
-        n_max=n_max,
         shear_0=shear_0,
         shear_1=shear_1,
         stretch_0=stretch_0,
@@ -529,23 +527,24 @@ def eval_wavefunction(
 # Solution cache
 # ---------------------------------------------------------------------------
 
-# Version of the entry layout written below; load_solution reads no other.
+# Version of the entry layout written below and of the numbers a solve puts in
+# it. Bump it whenever either changes: the files and keys, or the assembly or
+# eigensolve arithmetic. load_solution reads no other version, so an old entry
+# is solved again. A frozen small solve in the tests is keyed by this value.
 CACHE_FORMAT = 3
 
 
 def save_solution(solution: CavitySolution, directory) -> None:
     """Persist a solution as ``energies.npy``, ``coeffs.npy`` and ``meta.json``.
 
-    meta.json records the format version, the geometry hash, the lead width,
-    the basis counts and the cavity length. The files are written to a
-    temporary sibling directory that is then renamed into place, so a crash
-    never leaves a partial entry at `directory`, which must be absent or
-    empty.
+    meta.json records the format version, the geometry hash, the basis
+    counts and the cavity length. The files are written to a temporary
+    sibling directory that is then renamed into place, so a crash never
+    leaves a partial entry at `directory`, which must be absent or empty.
     """
     meta = {
         "format": CACHE_FORMAT,
         "profile_hash": solution.profile.content_hash(),
-        "lead_width": solution.profile.lead_width,
         "m_max": solution.basis.m_max,
         "n_max": solution.basis.n_max,
         "length": solution.profile.length,

@@ -132,8 +132,6 @@ def r_matrix(table: OverlapTable, space: LeadSpace) -> ReactionMatrix:
     defined at every energy, exactly on a cavity level too.
     """
     n = space.n_open
-    if n < 1:
-        raise ValueError("reaction matrix needs at least one open channel")
     if n > table.n_lead:
         raise ValueError(f"table holds {table.n_lead} channels, need {n}")
     if abs(space.lead_width - table.lead_width) > INTERFACE_TOL:

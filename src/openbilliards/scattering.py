@@ -67,49 +67,20 @@ def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
     return 0.5 * (smat + smat.T)
 
 
-@dataclass(frozen=True)
-class ScatteringMatrix:
-    """Unitary channel map at one energy, interfaces at x=0 and x=L."""
+def s_from_r(rmat: ReactionMatrix, space: LeadSpace) -> CArray:
+    """Flux-normalized S-matrix from the reaction matrix at `space.energy`.
 
-    matrix: CArray  # 2N x 2N, blocks [[r, t'], [t, r']]
-
-    @property
-    def n_open(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    @property
-    def r(self) -> CArray:
-        return self.matrix[: self.n_open, : self.n_open]
-
-    @property
-    def t(self) -> CArray:
-        return self.matrix[self.n_open :, : self.n_open]
-
-    @property
-    def t_prime(self) -> CArray:
-        return self.matrix[: self.n_open, self.n_open :]
-
-    @property
-    def r_prime(self) -> CArray:
-        return self.matrix[self.n_open :, self.n_open :]
-
-    @property
-    def unitarity_defect(self) -> float:
-        gram = self.matrix @ self.matrix.conj().T
-        return float(np.max(np.abs(gram - np.eye(2 * self.n_open))))
-
-
-def s_from_r(rmat: ReactionMatrix, space: LeadSpace) -> ScatteringMatrix:
-    """Flux-normalized S-matrix from the reaction matrix at `space.energy`."""
-    if space.n_open < 1:
-        raise ValueError("S-matrix needs at least one open channel")
+    A plain 2N x 2N array with blocks [[r, t'], [t, r']] over the N open
+    channels of each lead; 0 x 0 when no channel is open.
+    """
     both = np.concatenate([space.wavevectors, space.wavevectors])
-    return ScatteringMatrix(matrix=cayley_smatrix(rmat, both))
+    return cayley_smatrix(rmat, both)
 
 
-def conductance(smatrix: ScatteringMatrix) -> float:
-    """Dimensionless Landauer sum T = trace(t t^dagger)."""
-    return float(np.sum(np.abs(smatrix.t) ** 2))
+def conductance(smat: CArray) -> float:
+    """Dimensionless Landauer sum T = trace(t t^dagger); 0.0 for a 0 x 0 S."""
+    n = smat.shape[0] // 2
+    return float(np.sum(np.abs(smat[n:, :n]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -176,27 +147,21 @@ def sweep_conductance(solution: CavitySolution, k_grid: Array) -> SweepResult:
     energies = (k_grid * math.pi / w) ** 2
     table = overlaps(solution)
 
-    transmission, n_open, defects = [], [], []
-    blocks: list[CArray] = []
+    points = []
     for energy in energies:
         space = channel_space(float(energy), w)
-        if space.n_open == 0:
-            transmission.append(0.0)
-            defects.append(0.0)
-            blocks.append(np.zeros((0, 0), dtype=complex))
-        else:
-            smat = s_from_r(r_matrix(table, space), space)
-            transmission.append(conductance(smat))
-            defects.append(smat.unitarity_defect)
-            blocks.append(smat.t.copy())
-        n_open.append(space.n_open)
+        n = space.n_open
+        smat = s_from_r(r_matrix(table, space), space)
+        defect = np.max(np.abs(smat @ smat.conj().T - np.eye(2 * n)), initial=0.0)
+        points.append((conductance(smat), n, defect, smat[n:, :n].copy()))
+    transmission, n_open, defects, blocks = zip(*points)
     return SweepResult(
         lead_width=w,
         k=k_grid.copy(),
         transmission=np.asarray(transmission),
         n_open=np.asarray(n_open, dtype=np.int64),
         unitarity_defect=np.asarray(defects),
-        t_blocks=tuple(blocks),
+        t_blocks=blocks,
     )
 
 

@@ -92,6 +92,8 @@ def length_spectrum(series: SpectrumSeries, pad_factor: int = 8) -> tuple[Array,
         raise ValueError("need at least two samples")
     steps = np.diff(k)
     dk = float(steps[0])
+    if not dk > 0.0:
+        raise ValueError(f"sample grid must ascend, got step dk = {dk:.6g}")
     if np.max(steps) - np.min(steps) > GRID_RTOL * abs(k[-1]):
         raise ValueError("sample grid is not uniform")
     n_pad = pad_factor * k.size

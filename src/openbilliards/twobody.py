@@ -39,7 +39,7 @@ class InteractionSpec:
     """
 
     potential: Callable[[Array], Array]
-    quad_order: int = 16
+    quad_order: int
 
     def __post_init__(self):
         if self.quad_order < 8:

@@ -201,7 +201,7 @@ def test_criterion_4_smatrix_properties(reference_profile, reference_solution):
             per_point.append(time.perf_counter() - t0)
         except IllConditionedEnergy:
             continue
-        full = np.block([[smat.r, smat.t_prime], [smat.t, smat.r_prime]])
+        full = smat
         eye = np.eye(full.shape[0])
         worst_unitary = max(worst_unitary, np.max(np.abs(full @ full.conj().T - eye)))
         worst_symmetric = max(worst_symmetric, np.max(np.abs(full - full.T)))
@@ -220,7 +220,8 @@ def test_criterion_4_smatrix_properties(reference_profile, reference_solution):
             energy = (k_val * math.pi / w) ** 2
             space = channel_space(energy, w)
             smat = s_from_r(r_matrix(tab, space), space)
-            worst = max(worst, smat.unitarity_defect)
+            defect = np.max(np.abs(smat @ smat.conj().T - np.eye(smat.shape[0])))
+            worst = max(worst, defect)
         defects[keep] = worst
     shrinks = defects[600] <= max(defects[300], 1e-9)
 

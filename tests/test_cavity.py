@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from openbilliards.cavity import (
+    CACHE_FORMAT,
     BasisSpec,
     CavitySolution,
     _axial_tables,
@@ -348,6 +349,13 @@ def test_solution_roundtrip(tmp_path):
     save_solution(sol, tmp_path / "again")
     for name in ("coeffs.npy", "energies.npy", "meta.json"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "cache" / name).read_bytes()
+    # meta.json holds only what load_solution reads; an older entry's extra
+    # lead_width key is ignored
+    meta = json.loads((tmp_path / "cache" / "meta.json").read_text())
+    assert sorted(meta) == ["format", "length", "m_max", "n_max", "profile_hash"]
+    meta["lead_width"] = profile.lead_width
+    (tmp_path / "again" / "meta.json").write_text(json.dumps(meta))
+    assert np.array_equal(load_solution(tmp_path / "again", profile).coeffs, sol.coeffs)
 
 
 @pytest.fixture
@@ -401,6 +409,44 @@ def test_solution_cache_rejects_other_geometry(tmp_path):
     other = make_rectangle(1.0, profile.length, samples=512)
     with pytest.raises(ValueError):
         load_solution(tmp_path / "cache", other)
+
+
+# A small solve frozen per cache format. A change to the numbers a solve
+# writes must bump CACHE_FORMAT and record the new values here, or a cached
+# entry from before the change would be reused as if it were current.
+FROZEN_SOLVES = {
+    3: {
+        "energies": [
+            22.877025596293326, 22.92077239623756, 54.565359089981044,
+            54.70699988596725, 73.75477564880993, 74.2118848710335,
+            90.42862621704546, 90.68927078973246, 91.94787327498973,
+            108.22886108965656, 115.16754438332839, 116.63424700211246,
+            126.00400662436004, 132.31352043495787, 139.08668150187225,
+            142.96734470327542, 154.8199630314307, 164.1620599866092,
+            167.02606344767818, 167.5849120034655,
+        ],
+        # |interface values| of states 0-2, channels 1-2 (signs are arbitrary)
+        "left": [
+            [1.2775938170748522, 0.2527387851282512],
+            [1.2771199841697722, 0.24415364286298513],
+            [0.9058215207936406, 0.305268966364638],
+        ],
+        "right": [
+            [1.2775938170748522, 0.2527387851282512],
+            [1.2771199841697722, 0.24415364286298513],
+            [0.9058215207936406, 0.305268966364638],
+        ],
+    },
+}
+
+
+def test_solve_is_frozen_for_the_cache_format():
+    frozen = FROZEN_SOLVES[CACHE_FORMAT]
+    sol = solve_cavity(make_reference_cavity(samples=256), BasisSpec(16, 8), k_keep=20)
+    left, right = sol.interface_values()
+    np.testing.assert_allclose(sol.energies, frozen["energies"], rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(np.abs(left[:3, :2]), frozen["left"], rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(np.abs(right[:3, :2]), frozen["right"], rtol=1e-10, atol=0.0)
 
 
 def test_grid_contract_enforced():

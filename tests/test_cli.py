@@ -400,6 +400,28 @@ def test_two_body_cli(tmp_path, monkeypatch):
     assert np.all(np.diff(values) >= 0.0)
 
 
+def test_two_body_cli_contact_potential(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
+    cfg_path = write_yaml(
+        tmp_path / "cfg.yaml",
+        {
+            "geometry": {"kind": "reference", "samples": 512},
+            "basis": {"m_max": 10, "n_max": 6, "k_keep": 60},
+            "two_body": {
+                "states": 4,
+                "potential": {"kind": "contact", "strength": 1.0, "width": 0.5},
+                "quad_order": 32,
+            },
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    assert main(["--config", cfg_path, "two-body"]) == 0
+    lines = (tmp_path / "out" / "pair_energies.csv").read_text().splitlines()
+    assert "# contact potential, 4 single-particle states" in lines
+    data = [l for l in lines if not l.startswith("#")]
+    assert data[0] == "index,E_pair" and len(data) == 1 + 16
+
+
 def test_two_body_order_check_failure_exits_cleanly(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
     cfg_path = write_yaml(
@@ -441,6 +463,24 @@ def test_rejected_run_exits_2_without_traceback(
     assert "Traceback" not in err
     if command == "two-body":  # rejected before the cavity is solved
         assert not (tmp_path / "cachedir").exists()
+
+
+@pytest.mark.parametrize(
+    "k_min, k_max", [(1.95, 1.05), (1.5, 1.5)], ids=["descending", "zero-width"]
+)
+def test_spectrum_rejects_a_grid_that_does_not_ascend(
+    tmp_path, monkeypatch, capsys, k_min, k_max
+):
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
+    cfg_path = small_rect_config(tmp_path)
+    grid = ["--set", f"sweep.k_min={k_min}", "--set", f"sweep.k_max={k_max}"]
+    assert main(["--config", cfg_path, *grid, "sweep"]) == 0  # a sweep takes any order
+    capsys.readouterr()
+    assert main(["--config", cfg_path, *grid, "spectrum"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sample grid must ascend" in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("power_*.csv"))
 
 
 def test_bad_geometry_kind_is_config_error(tmp_path, capsys):

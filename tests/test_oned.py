@@ -19,7 +19,7 @@ from openbilliards.scattering import conductance, s_from_r
 
 def barrier_smatrix(energy, prob):
     space = lead_space(energy)
-    return s_from_r(r_matrix(prob.table(), space), space).matrix
+    return s_from_r(r_matrix(prob.table(), space), space)
 
 
 def transmission_by_matching(energy, height):

@@ -41,6 +41,12 @@ def lead_space_1d(k):
     return LeadSpace(energy=k * k, lead_width=1.0, wavevectors=np.array([k]))
 
 
+def blocks(smat):
+    """The blocks r, t', t, r' of S = [[r, t'], [t, r']]."""
+    n = smat.shape[0] // 2
+    return smat[:n, :n], smat[:n, n:], smat[n:, :n], smat[n:, n:]
+
+
 def finite(rmat):
     """A finite reaction matrix: no pole term."""
     rmat = np.asarray(rmat, dtype=float)
@@ -117,16 +123,26 @@ def test_free_guide_closed_form_reaction_matrix():
         ]
     ) / k
     smat = s_from_r(finite(rmat), lead_space_1d(k))
-    assert abs(smat.r[0, 0]) < 1e-13
-    assert smat.t[0, 0] == pytest.approx(np.exp(1j * k), abs=1e-13)
-    assert smat.unitarity_defect < 1e-13
+    r, _, t, _ = blocks(smat)
+    assert abs(r[0, 0]) < 1e-13
+    assert t[0, 0] == pytest.approx(np.exp(1j * k), abs=1e-13)
+    assert np.max(np.abs(smat @ smat.conj().T - np.eye(2))) < 1e-13
 
 
 def test_zero_reaction_matrix_blocks():
     space = channel_space((2.5 * math.pi) ** 2, 1.0)
     smat = s_from_r(finite(np.zeros((4, 4))), space)
-    assert np.array_equal(smat.r, -np.eye(2))
-    assert np.array_equal(smat.t, np.zeros((2, 2)))
+    r, _, t, _ = blocks(smat)
+    assert np.array_equal(r, -np.eye(2))
+    assert np.array_equal(t, np.zeros((2, 2)))
+    assert conductance(smat) == 0.0
+
+
+def test_no_open_channel_gives_an_empty_smatrix(guide_solution):
+    table = overlaps(guide_solution)
+    space = channel_space((0.5 * math.pi) ** 2, 1.0)  # below the first threshold
+    smat = s_from_r(r_matrix(table, space), space)
+    assert smat.shape == (0, 0) and smat.dtype == np.complex128
     assert conductance(smat) == 0.0
 
 
@@ -141,14 +157,14 @@ def test_straight_guide_staircase(guide_solution):
         expected = math.floor(k_val)
         assert abs(total - expected) < 1e-3, f"k={k_val}: T={total}"
         assert total <= expected + 1e-9
-        assert smat.unitarity_defect < 1e-10
+        assert np.max(np.abs(smat @ smat.conj().T - np.eye(smat.shape[0]))) < 1e-10
 
 
 def test_flux_conservation(guide_solution):
     table = overlaps(guide_solution)
     space = channel_space((2.5 * math.pi) ** 2, 1.0)
     smat = s_from_r(r_matrix(table, space), space)
-    reflected = float(np.sum(np.abs(smat.r) ** 2))
+    reflected = float(np.sum(np.abs(blocks(smat)[0]) ** 2))
     assert conductance(smat) + reflected == pytest.approx(2.0, abs=1e-10)
 
 
@@ -157,10 +173,10 @@ def test_symmetric_cavity_has_equal_left_right_blocks():
     table = overlaps(sol)
     w = table.lead_width
     space = channel_space((4.5 * math.pi / w) ** 2, w)
-    smat = s_from_r(r_matrix(table, space), space)
-    assert np.array_equal(smat.t_prime, smat.t.T)  # reciprocity, exact
-    assert np.max(np.abs(smat.r - smat.r_prime)) < 1e-8  # mirror symmetry
-    assert np.max(np.abs(smat.t - smat.t_prime)) < 1e-8
+    r, t_prime, t, r_prime = blocks(s_from_r(r_matrix(table, space), space))
+    assert np.array_equal(t_prime, t.T)  # reciprocity, exact
+    assert np.max(np.abs(r - r_prime)) < 1e-8  # mirror symmetry
+    assert np.max(np.abs(t - t_prime)) < 1e-8
 
 
 def test_sweep_computes_thresholds_and_closed_points(guide_solution):
@@ -169,6 +185,7 @@ def test_sweep_computes_thresholds_and_closed_points(guide_solution):
     assert result.k.tolist() == grid.tolist()
     assert result.n_open.tolist() == [0, 1, 1, 2, 2]
     assert result.transmission[0] == 0.0
+    assert result.unitarity_defect[0] == 0.0
     assert result.t_blocks[0].shape == (0, 0)
     # a channel opening exactly at k carries no flux yet
     assert result.transmission[1] == 0.0

@@ -155,7 +155,17 @@ def test_contact_factory_peak_value():
     assert pot(np.array(0.0)) == pytest.approx(2.0 / (2.0 * math.pi * 0.01))
 
 
+def test_contact_is_a_normalized_gaussian():
+    dist = np.linspace(0.0, 1.5, 61)
+    strength, width = 2.0, 0.3
+    contact = contact_regularized(strength, width)(dist)
+    same = gaussian(strength / (2.0 * math.pi * width**2), math.sqrt(2.0) * width)(dist)
+    np.testing.assert_allclose(contact, same, rtol=1e-14, atol=0.0)
+
+
 def test_input_validation(rect_solution):
+    with pytest.raises(TypeError):  # the quadrature order has no default
+        InteractionSpec(potential=constant_potential(1.0))
     with pytest.raises(ValueError):
         InteractionSpec(potential=constant_potential(1.0), quad_order=4)
     spec = InteractionSpec(potential=constant_potential(1.0), quad_order=8)
