@@ -409,15 +409,20 @@ class CavitySolution:
 
     coeffs rows are eigenvectors in the flat (n, m) basis ordering; rows are
     Euclidean-orthonormal, which is J-weighted orthonormality of the
-    wavefunctions.  energies are sorted ascending and all positive.  Other
-    modules read the states through `interface_values` and `grid_values`,
-    not through coeffs.
+    wavefunctions.  energies are sorted ascending and all positive.
+    interface, shape (2, k_keep, n_max), holds each state's transverse
+    coefficients at u = 0 and at u = length, computed once from coeffs by
+    `solve_cavity`.  A loaded solution maps coeffs read-only from its cache
+    entry, so only the rows that `grid_values` and `eval_wavefunction` read
+    are paged in.  Other modules read the states through `interface_values`
+    and `grid_values`, not through coeffs.
     """
 
     profile: BoundaryProfile
     basis: BasisSpec
     energies: Array
     coeffs: Array
+    interface: Array
 
     @property
     def k_keep(self) -> int:
@@ -426,11 +431,7 @@ class CavitySolution:
     def interface_values(self) -> tuple[Array, Array]:
         """(left, right), each (k_keep, n_max): sum_m B_jnm c_m(u) at u = 0 and
         at u = length, where c_m(length) = (-1)^m c_m(0)."""
-        n_max, m_max = self.basis.n_max, self.basis.m_max
-        norms = axial_norms(m_max, self.profile.length)
-        signs = np.where(np.arange(m_max) % 2 == 0, 1.0, -1.0)
-        coeffs = self.coeffs.reshape(self.k_keep, n_max, m_max)
-        return coeffs @ norms, coeffs @ (norms * signs)
+        return self.interface[0], self.interface[1]
 
     def grid_values(self, states, u: Array, v: Array) -> Array:
         """Expansions of `states` on the tensor grid u x v, without 1/sqrt(J):
@@ -440,6 +441,15 @@ class CavitySolution:
         coeffs = self.coeffs[list(states)].reshape(len(states), basis.n_max, basis.m_max)
         vals = np.einsum("snm,ma,nb->sab", coeffs, cos_part, sin_part)
         return vals.reshape(len(states), u.size * v.size)
+
+
+def _interface_table(coeffs: Array, basis: BasisSpec, length: float) -> Array:
+    """The (2, k, n_max) table of `CavitySolution.interface`: each row of
+    coeffs summed over m against c_m(0), then against c_m(length)."""
+    norms = axial_norms(basis.m_max, length)
+    signs = np.where(np.arange(basis.m_max) % 2 == 0, 1.0, -1.0)
+    coeffs = coeffs.reshape(-1, basis.n_max, basis.m_max)
+    return np.stack([coeffs @ norms, coeffs @ (norms * signs)])
 
 
 def solve_cavity(profile: BoundaryProfile, basis: BasisSpec, k_keep: int) -> CavitySolution:
@@ -491,7 +501,10 @@ def solve_cavity(profile: BoundaryProfile, basis: BasisSpec, k_keep: int) -> Cav
         cols = flat[:, _axial_modes(parity)].ravel()
         coeffs[np.ix_(rows, cols)] = vectors[:, order[rows] - offset].T
         offset += block_energies.size
-    return CavitySolution(profile=profile, basis=basis, energies=energies, coeffs=coeffs)
+    return CavitySolution(
+        profile=profile, basis=basis, energies=energies, coeffs=coeffs,
+        interface=_interface_table(coeffs, basis, profile.length),
+    )
 
 
 def eval_wavefunction(
@@ -531,16 +544,20 @@ def eval_wavefunction(
 # it. Bump it whenever either changes: the files and keys, or the assembly or
 # eigensolve arithmetic. load_solution reads no other version, so an old entry
 # is solved again. A frozen small solve in the tests is keyed by this value.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def save_solution(solution: CavitySolution, directory) -> None:
-    """Persist a solution as ``energies.npy``, ``coeffs.npy`` and ``meta.json``.
+    """Persist a solution as ``energies.npy``, ``interface.npy``,
+    ``vectors.npy`` and ``meta.json``.
 
-    meta.json records the format version, the geometry hash, the basis
-    counts and the cavity length. The files are written to a temporary
-    sibling directory that is then renamed into place, so a crash never
-    leaves a partial entry at `directory`, which must be absent or empty.
+    energies.npy holds the k_keep energies, interface.npy the (2, k_keep,
+    n_max) interface table and vectors.npy the k_keep x basis-size
+    eigenvectors (`CavitySolution.coeffs`).  meta.json records the format
+    version, the geometry hash, the basis counts and the cavity length.  The
+    files are written to a temporary sibling directory that is then renamed
+    into place, so a crash never leaves a partial entry at `directory`,
+    which must be absent or empty.
     """
     meta = {
         "format": CACHE_FORMAT,
@@ -554,7 +571,8 @@ def save_solution(solution: CavitySolution, directory) -> None:
     staging = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
     try:
         np.save(staging / "energies.npy", solution.energies)
-        np.save(staging / "coeffs.npy", solution.coeffs)
+        np.save(staging / "interface.npy", solution.interface)
+        np.save(staging / "vectors.npy", solution.coeffs)
         with open(staging / "meta.json", "w") as fh:
             json.dump(meta, fh, indent=2)
         os.replace(staging, directory)
@@ -566,8 +584,11 @@ def save_solution(solution: CavitySolution, directory) -> None:
 def load_solution(directory, profile: BoundaryProfile) -> CavitySolution:
     """Rebuild a solution from `save_solution` output for the same geometry.
 
-    An entry in another format or of another geometry raises ValueError, as
-    does one with a key missing from meta.json or arrays of the wrong shape.
+    energies.npy and interface.npy are read into memory; vectors.npy is
+    mapped read-only (``mmap_mode="r"``), so a caller that needs only the
+    interface table never reads the eigenvectors.  An entry in another
+    format or of another geometry raises ValueError, as does one with a key
+    missing from meta.json or arrays of the wrong shape.
     """
     directory = Path(directory)
     with open(directory / "meta.json") as fh:
@@ -586,10 +607,18 @@ def load_solution(directory, profile: BoundaryProfile) -> CavitySolution:
         )
     basis = BasisSpec(m_max=meta["m_max"], n_max=meta["n_max"])
     energies = np.load(directory / "energies.npy")
-    coeffs = np.load(directory / "coeffs.npy")
-    if energies.ndim != 1 or coeffs.shape != (energies.size, basis.size):
+    interface = np.load(directory / "interface.npy")
+    coeffs = np.load(directory / "vectors.npy", mmap_mode="r")
+    k_keep = energies.size
+    if (
+        energies.ndim != 1
+        or interface.shape != (2, k_keep, basis.n_max)
+        or coeffs.shape != (k_keep, basis.size)
+    ):
         raise ValueError(
-            f"energies.npy {energies.shape} and coeffs.npy {coeffs.shape} "
-            f"do not fit a {basis.m_max}x{basis.n_max} basis"
+            f"energies.npy {energies.shape}, interface.npy {interface.shape} and "
+            f"vectors.npy {coeffs.shape} do not fit a {basis.m_max}x{basis.n_max} basis"
         )
-    return CavitySolution(profile=profile, basis=basis, energies=energies, coeffs=coeffs)
+    return CavitySolution(
+        profile=profile, basis=basis, energies=energies, coeffs=coeffs, interface=interface
+    )

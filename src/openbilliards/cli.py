@@ -304,8 +304,8 @@ def cmd_spectrum(cfg) -> int:
         raise ConfigError("spectra.windows is empty; spectrum has nothing to compute")
     picked = [window_points(grid, (w["k_min"], w["k_max"])) for w in windows]
     result = sweep_conductance(solution, grid[np.unique(np.concatenate(picked))])
-    out = _outdir(cfg)
     pad = cfg["spectra"]["pad_factor"]
+    tables = []  # every window is computed, and may be rejected, before any file is written
     for window in windows:
         lo, hi, n_modes = window["k_min"], window["k_max"], window["n_modes"]
         series = uniform_series(result, (lo, hi), n_modes)
@@ -315,18 +315,22 @@ def cmd_spectrum(cfg) -> int:
         peaks = peak_positions(
             lengths[keep], power[keep], band=(2.0, 20.0), min_prominence=0.01
         )
+        tables.append((window, lengths[keep], power[keep], amps[keep, 0, 0], peaks))
+    out = _outdir(cfg)
+    for window, lengths, power, t11, peaks in tables:
+        lo, hi, n_modes = window["k_min"], window["k_max"], window["n_modes"]
         tag = f"{lo:g}-{hi:g}"
         peak_note = "peaks at L = " + ", ".join(f"{p:.3f}" for p in sorted(peaks[:8]))
         write_power_csv(
             out / f"power_{tag}.csv",
-            lengths[keep],
-            power[keep],
+            lengths,
+            power,
             header_lines(cfg) + (f"window [{lo:g}, {hi:g}] pi/w, {n_modes} modes", peak_note),
         )
         write_amplitude_csv(
             out / f"t11_{tag}.csv",
-            lengths[keep],
-            amps[keep, 0, 0],
+            lengths,
+            t11,
             header_lines(cfg) + (f"window [{lo:g}, {hi:g}] pi/w, mode (1,1)",),
         )
         print(f"wrote power_{tag}.csv and t11_{tag}.csv; {peak_note}")

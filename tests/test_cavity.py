@@ -6,6 +6,7 @@ two paths share nothing but the basis definition.
 """
 
 import ast
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -33,6 +34,8 @@ from openbilliards.geometry import (
     make_rectangle,
     make_reference_cavity,
 )
+from openbilliards.leads import overlaps
+from openbilliards.scattering import sweep_conductance
 
 
 def gauss_nodes(n, a, b):
@@ -333,6 +336,9 @@ def test_wavefunctions_orthonormal_under_area_weight():
     assert np.max(np.abs(gram - np.eye(20))) < 1e-6
 
 
+ENTRY_FILES = ("energies.npy", "interface.npy", "meta.json", "vectors.npy")
+
+
 def test_solution_roundtrip(tmp_path):
     profile = make_reference_cavity(samples=512)
     sol = solve_cavity(profile, BasisSpec(10, 6), k_keep=12)
@@ -341,14 +347,21 @@ def test_solution_roundtrip(tmp_path):
     assert np.array_equal(back.energies, sol.energies)
     assert np.array_equal(back.coeffs, sol.coeffs)
     assert back.basis == sol.basis
+    # the eigenvectors are mapped read-only; the interface table is stored
+    assert isinstance(back.coeffs, np.memmap) and not back.coeffs.flags.writeable
+    assert back.interface.shape == (2, 12, 6)
+    for loaded, solved in zip(back.interface_values(), sol.interface_values()):
+        assert np.array_equal(loaded, solved)
     # written in a staging directory that was renamed into place
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
-        "coeffs.npy", "energies.npy", "meta.json"
-    ]
+    assert tuple(sorted(p.name for p in (tmp_path / "cache").iterdir())) == ENTRY_FILES
     save_solution(sol, tmp_path / "again")
-    for name in ("coeffs.npy", "energies.npy", "meta.json"):
+    for name in ENTRY_FILES:
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "cache" / name).read_bytes()
+    # a loaded solution saves to the same bytes
+    save_solution(back, tmp_path / "resaved")
+    for name in ENTRY_FILES:
+        assert (tmp_path / "resaved" / name).read_bytes() == (tmp_path / "cache" / name).read_bytes()
     # meta.json holds only what load_solution reads; an older entry's extra
     # lead_width key is ignored
     meta = json.loads((tmp_path / "cache" / "meta.json").read_text())
@@ -367,7 +380,15 @@ def saved_entry(tmp_path):
 
 def test_solution_cache_rejects_truncated_coefficients(saved_entry):
     entry, profile = saved_entry
-    path = entry / "coeffs.npy"
+    path = entry / "vectors.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="mmap length is greater than file size"):
+        load_solution(entry, profile)
+
+
+def test_solution_cache_rejects_truncated_interface(saved_entry):
+    entry, profile = saved_entry
+    path = entry / "interface.npy"
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="read all data"):
         load_solution(entry, profile)
@@ -376,7 +397,17 @@ def test_solution_cache_rejects_truncated_coefficients(saved_entry):
 def test_solution_cache_rejects_truncated_energies(saved_entry):
     entry, profile = saved_entry
     np.save(entry / "energies.npy", np.load(entry / "energies.npy")[:-1])
-    with pytest.raises(ValueError, match=r"energies.npy \(11,\) and coeffs.npy \(12, 60\)"):
+    with pytest.raises(
+        ValueError,
+        match=r"energies.npy \(11,\), interface.npy \(2, 12, 6\) and vectors.npy \(12, 60\)",
+    ):
+        load_solution(entry, profile)
+
+
+def test_solution_cache_rejects_wrong_shape_interface(saved_entry):
+    entry, profile = saved_entry
+    np.save(entry / "interface.npy", np.load(entry / "interface.npy")[:, :, :5])
+    with pytest.raises(ValueError, match=r"interface.npy \(2, 12, 5\)"):
         load_solution(entry, profile)
 
 
@@ -437,6 +468,29 @@ FROZEN_SOLVES = {
             [0.9058215207936406, 0.305268966364638],
         ],
     },
+    # format 4 stores the interface table and maps the vectors; the numbers
+    # are format 3's
+    4: {
+        "energies": [
+            22.877025596293326, 22.92077239623756, 54.565359089981044,
+            54.70699988596725, 73.75477564880993, 74.2118848710335,
+            90.42862621704546, 90.68927078973246, 91.94787327498973,
+            108.22886108965656, 115.16754438332839, 116.63424700211246,
+            126.00400662436004, 132.31352043495787, 139.08668150187225,
+            142.96734470327542, 154.8199630314307, 164.1620599866092,
+            167.02606344767818, 167.5849120034655,
+        ],
+        "left": [
+            [1.2775938170748522, 0.2527387851282512],
+            [1.2771199841697722, 0.24415364286298513],
+            [0.9058215207936406, 0.305268966364638],
+        ],
+        "right": [
+            [1.2775938170748522, 0.2527387851282512],
+            [1.2771199841697722, 0.24415364286298513],
+            [0.9058215207936406, 0.305268966364638],
+        ],
+    },
 }
 
 
@@ -475,3 +529,22 @@ def test_only_cavity_reads_the_product_basis():
                     for alias in node.names if alias.name == "axial_norms"
                 ]
     assert offences == []
+
+
+def test_sweep_reads_no_eigenvector(tmp_path):
+    """A loaded solution stripped of its vectors sweeps to the same bits:
+    the scattering path reads the energies and the interface table only."""
+    profile = make_reference_cavity(samples=512)
+    save_solution(solve_cavity(profile, BasisSpec(10, 6), k_keep=60), tmp_path / "cache")
+    loaded = load_solution(tmp_path / "cache", profile)
+    stripped = dataclasses.replace(loaded, coeffs=None)
+    table, bare = overlaps(loaded), overlaps(stripped)
+    for name in ("energies", "left", "right"):
+        assert np.array_equal(getattr(bare, name), getattr(table, name))
+    grid = np.linspace(0.5, 5.5, 41)  # 0 to 5 open channels
+    full, swept = sweep_conductance(loaded, grid), sweep_conductance(stripped, grid)
+    assert full.n_open.max() == 5
+    assert np.array_equal(swept.transmission, full.transmission)
+    assert len(swept.t_blocks) == len(full.t_blocks) == grid.size
+    for ours, theirs in zip(swept.t_blocks, full.t_blocks):
+        assert np.array_equal(ours, theirs)

@@ -225,11 +225,19 @@ def _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, spoil):
 
 
 def test_unusable_cache_entry_is_replaced(tmp_path, caplog, monkeypatch):
-    def truncate_coeffs(slot):
-        coeffs = slot / "coeffs.npy"
-        coeffs.write_bytes(coeffs.read_bytes()[:-40])
+    def truncate_vectors(slot):
+        vectors = slot / "vectors.npy"
+        vectors.write_bytes(vectors.read_bytes()[:-40])
 
-    _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, truncate_coeffs)
+    _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, truncate_vectors)
+
+
+def test_truncated_interface_table_is_replaced(tmp_path, caplog, monkeypatch):
+    def truncate_interface(slot):
+        table = slot / "interface.npy"
+        table.write_bytes(table.read_bytes()[:-40])
+
+    _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, truncate_interface)
 
 
 def test_old_format_cache_entry_is_replaced(tmp_path, caplog, monkeypatch):
@@ -450,6 +458,8 @@ def test_two_body_order_check_failure_exits_cleanly(tmp_path, monkeypatch, capsy
         ("spectrum", "spectra.windows=[{k_min: 3.0, k_max: 4.0, n_modes: 1}]",
          "covers only 0 sweep points"),
         ("spectrum", "spectra.windows=[]", "spectra.windows is empty"),
+        ("spectrum", "spectra.windows=[{k_min: 1.1, k_max: 1.5, n_modes: 1}, "
+         "{k_min: 1.3, k_max: 1.9, n_modes: 2}]", "only 1 channels open at k=1.30385, need 2"),
     ],
 )
 def test_rejected_run_exits_2_without_traceback(
@@ -463,6 +473,9 @@ def test_rejected_run_exits_2_without_traceback(
     assert "Traceback" not in err
     if command == "two-body":  # rejected before the cavity is solved
         assert not (tmp_path / "cachedir").exists()
+    if command == "spectrum":  # no window's file is written, the passing ones' included
+        assert not list((tmp_path / "out").glob("power_*"))
+        assert not list((tmp_path / "out").glob("t11_*"))
 
 
 @pytest.mark.parametrize(
