@@ -32,6 +32,8 @@ matrix; other walls take the generic full-matrix path.
 
 from __future__ import annotations
 
+import errno
+import hashlib
 import json
 import logging
 import math
@@ -544,7 +546,7 @@ def eval_wavefunction(
 # it. Bump it whenever either changes: the files and keys, or the assembly or
 # eigensolve arithmetic. load_solution reads no other version, so an old entry
 # is solved again. A frozen small solve in the tests is keyed by this value.
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 def save_solution(solution: CavitySolution, directory) -> None:
@@ -554,17 +556,16 @@ def save_solution(solution: CavitySolution, directory) -> None:
     energies.npy holds the k_keep energies, interface.npy the (2, k_keep,
     n_max) interface table and vectors.npy the k_keep x basis-size
     eigenvectors (`CavitySolution.coeffs`).  meta.json records the format
-    version, the geometry hash, the basis counts and the cavity length.  The
-    files are written to a temporary sibling directory that is then renamed
-    into place, so a crash never leaves a partial entry at `directory`,
-    which must be absent or empty.
+    version, the geometry hash and the basis counts.  The files are written
+    to a temporary sibling directory that is then renamed into place, so a
+    crash never leaves a partial entry at `directory`, which must be absent
+    or empty.
     """
     meta = {
         "format": CACHE_FORMAT,
         "profile_hash": solution.profile.content_hash(),
         "m_max": solution.basis.m_max,
         "n_max": solution.basis.n_max,
-        "length": solution.profile.length,
     }
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
@@ -588,27 +589,26 @@ def load_solution(directory, profile: BoundaryProfile) -> CavitySolution:
     mapped read-only (``mmap_mode="r"``), so a caller that needs only the
     interface table never reads the eigenvectors.  An entry in another
     format or of another geometry raises ValueError, as does one with a key
-    missing from meta.json or arrays of the wrong shape.
+    missing from meta.json or an array file that is empty, truncated or of
+    the wrong shape.
     """
     directory = Path(directory)
     with open(directory / "meta.json") as fh:
         meta = json.load(fh)
     if meta.get("format") != CACHE_FORMAT:
         raise ValueError(f"cache format {meta.get('format')!r}, this code reads {CACHE_FORMAT}")
-    missing = sorted({"profile_hash", "length", "m_max", "n_max"} - set(meta))
+    missing = sorted({"profile_hash", "m_max", "n_max"} - set(meta))
     if missing:
         raise ValueError(f"meta.json lacks {', '.join(missing)}")
     if meta["profile_hash"] != profile.content_hash():
         raise ValueError("cached solution belongs to a different geometry")
-    length = meta["length"]
-    if abs(length - profile.length) > 1e-12 * max(1.0, profile.length):
-        raise ValueError(
-            f"cached length {length} does not match profile length {profile.length}"
-        )
     basis = BasisSpec(m_max=meta["m_max"], n_max=meta["n_max"])
-    energies = np.load(directory / "energies.npy")
-    interface = np.load(directory / "interface.npy")
-    coeffs = np.load(directory / "vectors.npy", mmap_mode="r")
+    try:
+        energies = np.load(directory / "energies.npy")
+        interface = np.load(directory / "interface.npy")
+        coeffs = np.load(directory / "vectors.npy", mmap_mode="r")
+    except EOFError as err:  # a zero-length file
+        raise ValueError(f"empty array file in {directory.name}: {err}") from err
     k_keep = energies.size
     if (
         energies.ndim != 1
@@ -622,3 +622,38 @@ def load_solution(directory, profile: BoundaryProfile) -> CavitySolution:
     return CavitySolution(
         profile=profile, basis=basis, energies=energies, coeffs=coeffs, interface=interface
     )
+
+
+def cached_solution(
+    profile: BoundaryProfile, basis: BasisSpec, k_keep: int, root
+) -> CavitySolution:
+    """The solve of (profile, basis, k_keep), through the entry cache at `root`.
+
+    A usable entry is returned.  Otherwise the cavity is solved, an unusable
+    entry is removed and the new one is published.  A publish lost to another
+    run keeps that run's entry; an unwritable root logs a warning.  Either
+    way this run's solve is returned.
+    """
+    key_src = f"{profile.content_hash()}:{basis.m_max}:{basis.n_max}:{k_keep}"
+    key = hashlib.sha256(key_src.encode()).hexdigest()[:20]
+    slot = Path(root) / key
+    if slot.exists():
+        try:
+            solution = load_solution(slot, profile)
+            if (solution.basis, solution.k_keep) != (basis, k_keep):
+                raise ValueError(f"{solution.basis} and k_keep {solution.k_keep} do not fit")
+            logger.info("cache hit %s", key)
+            return solution
+        except (ValueError, OSError) as err:
+            logger.warning("cache entry %s unusable (%s); recomputing", key, err)
+            shutil.rmtree(slot, ignore_errors=True)
+    logger.info("cache miss %s; solving", key)
+    solution = solve_cavity(profile, basis, k_keep=k_keep)
+    try:
+        save_solution(solution, slot)
+    except OSError as err:
+        if err.errno in (errno.EEXIST, errno.ENOTEMPTY):
+            logger.info("cache entry %s was published by another run; keeping it", key)
+        else:
+            logger.warning("cache entry %s not written (%s); continuing without it", key, err)
+    return solution

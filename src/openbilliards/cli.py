@@ -1,4 +1,4 @@
-"""Command-line front end: config parsing, caching, CSV/JSON emission.
+"""Command-line front end: config parsing, CSV/JSON emission.
 
 Subcommands: solve-cavity, sweep, spectrum, validate, two-body.
 Configuration is YAML with nested sections; unknown keys are errors. Every
@@ -17,7 +17,6 @@ import json
 import logging
 import math
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -25,13 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .cavity import (
-    BasisSpec,
-    fft_cosine_integrals,
-    load_solution,
-    save_solution,
-    solve_cavity,
-)
+from .cavity import BasisSpec, cached_solution, fft_cosine_integrals, solve_cavity
 from .geometry import (
     apply_surface_disorder,
     apply_wiggle,
@@ -67,8 +60,6 @@ from .twobody import (
     interaction_block,
     write_pair_energies_csv,
 )
-
-logger = logging.getLogger("openbilliards.cli")
 
 CACHE_ENV = "OPENBILLIARDS_CACHE"
 
@@ -236,23 +227,7 @@ def get_solution(cfg):
     profile = build_profile(cfg)
     b = cfg["basis"]
     basis = BasisSpec(m_max=b["m_max"], n_max=b["n_max"])
-    k_keep = b["k_keep"]
-    key_src = f"{profile.content_hash()}:{basis.m_max}:{basis.n_max}:{k_keep}"
-    key = hashlib.sha256(key_src.encode()).hexdigest()[:20]
-    slot = _cache_dir(cfg) / key
-    if (slot / "meta.json").exists():
-        try:
-            solution = load_solution(slot, profile)
-            if solution.k_keep == k_keep:
-                logger.info("cache hit %s", key)
-                return solution
-        except (ValueError, OSError) as err:
-            logger.warning("cache entry %s unusable (%s); recomputing", key, err)
-    logger.info("cache miss %s; solving", key)
-    solution = solve_cavity(profile, basis, k_keep=k_keep)
-    shutil.rmtree(slot, ignore_errors=True)  # an unusable or partial entry
-    save_solution(solution, slot)
-    return solution
+    return cached_solution(profile, basis, b["k_keep"], _cache_dir(cfg))
 
 
 def _outdir(cfg):
@@ -564,7 +539,7 @@ def main(argv=None) -> int:
         if args.command == "two-body":
             return cmd_two_body(cfg)
         raise AssertionError(f"unhandled command {args.command}")
-    except ValueError as err:  # a ConfigError, or an input the program rejects
+    except (ValueError, OSError) as err:  # a rejected input, or an unwritable output
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ two paths share nothing but the basis definition.
 import ast
 import dataclasses
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from openbilliards.cavity import (
     assemble_hamiltonian,
     axial_norms,
     build_v_tables,
+    cached_solution,
     eval_wavefunction,
     load_solution,
     save_solution,
@@ -365,7 +367,7 @@ def test_solution_roundtrip(tmp_path):
     # meta.json holds only what load_solution reads; an older entry's extra
     # lead_width key is ignored
     meta = json.loads((tmp_path / "cache" / "meta.json").read_text())
-    assert sorted(meta) == ["format", "length", "m_max", "n_max", "profile_hash"]
+    assert sorted(meta) == ["format", "m_max", "n_max", "profile_hash"]
     meta["lead_width"] = profile.lead_width
     (tmp_path / "again" / "meta.json").write_text(json.dumps(meta))
     assert np.array_equal(load_solution(tmp_path / "again", profile).coeffs, sol.coeffs)
@@ -418,9 +420,8 @@ def test_solution_cache_rejects_wrong_shape_interface(saved_entry):
         ({"format": None}, "cache format None"),
         ({"m_max": None}, "lacks m_max"),
         ({"profile_hash": None}, "lacks profile_hash"),
-        ({"length": 3.5}, "does not match profile length"),
     ],
-    ids=["old-format", "no-format", "no-m_max", "no-profile_hash", "other-length"],
+    ids=["old-format", "no-format", "no-m_max", "no-profile_hash"],
 )
 def test_solution_cache_rejects_bad_meta(saved_entry, changes, message):
     """Set meta.json keys (None deletes one); each entry raises ValueError."""
@@ -440,6 +441,24 @@ def test_solution_cache_rejects_other_geometry(tmp_path):
     other = make_rectangle(1.0, profile.length, samples=512)
     with pytest.raises(ValueError):
         load_solution(tmp_path / "cache", other)
+
+
+def test_cached_solution_replaces_an_entry_of_another_k_keep(tmp_path, caplog):
+    profile = make_reference_cavity(samples=512)
+    basis = BasisSpec(10, 6)
+    solved = cached_solution(profile, basis, 12, tmp_path)
+    (slot,) = tmp_path.iterdir()
+    hit = cached_solution(profile, basis, 12, tmp_path)
+    assert isinstance(hit.coeffs, np.memmap)
+    assert np.array_equal(hit.energies, solved.energies)
+    # an entry whose arrays are whole but hold 11 levels, in the 12-level slot
+    slot.rename(tmp_path / "old")
+    save_solution(solve_cavity(profile, basis, k_keep=11), slot)
+    with caplog.at_level(logging.INFO, logger="openbilliards.cavity"):
+        again = cached_solution(profile, basis, 12, tmp_path)
+    assert any("unusable" in r.message and "k_keep 11" in r.message for r in caplog.records)
+    assert np.array_equal(again.energies, solved.energies)
+    assert load_solution(slot, profile).k_keep == 12
 
 
 # A small solve frozen per cache format. A change to the numbers a solve
@@ -471,6 +490,28 @@ FROZEN_SOLVES = {
     # format 4 stores the interface table and maps the vectors; the numbers
     # are format 3's
     4: {
+        "energies": [
+            22.877025596293326, 22.92077239623756, 54.565359089981044,
+            54.70699988596725, 73.75477564880993, 74.2118848710335,
+            90.42862621704546, 90.68927078973246, 91.94787327498973,
+            108.22886108965656, 115.16754438332839, 116.63424700211246,
+            126.00400662436004, 132.31352043495787, 139.08668150187225,
+            142.96734470327542, 154.8199630314307, 164.1620599866092,
+            167.02606344767818, 167.5849120034655,
+        ],
+        "left": [
+            [1.2775938170748522, 0.2527387851282512],
+            [1.2771199841697722, 0.24415364286298513],
+            [0.9058215207936406, 0.305268966364638],
+        ],
+        "right": [
+            [1.2775938170748522, 0.2527387851282512],
+            [1.2771199841697722, 0.24415364286298513],
+            [0.9058215207936406, 0.305268966364638],
+        ],
+    },
+    # format 5 drops the length from meta.json; the numbers are format 4's
+    5: {
         "energies": [
             22.877025596293326, 22.92077239623756, 54.565359089981044,
             54.70699988596725, 73.75477564880993, 74.2118848710335,

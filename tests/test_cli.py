@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -180,14 +181,14 @@ def test_unreadable_input_is_config_error(tmp_path, capsys, case, fragments):
 def test_solve_cavity_cache_and_determinism(tmp_path, caplog, monkeypatch):
     monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
     cfg_path = small_rect_config(tmp_path)
-    with caplog.at_level(logging.INFO, logger="openbilliards.cli"):
+    with caplog.at_level(logging.INFO, logger="openbilliards.cavity"):
         assert main(["--config", cfg_path, "solve-cavity"]) == 0
     assert any("cache miss" in r.message for r in caplog.records)
     first = (tmp_path / "out" / "energies.csv").read_bytes()
     assert (tmp_path / "cachedir").is_dir()
 
     caplog.clear()
-    with caplog.at_level(logging.INFO, logger="openbilliards.cli"):
+    with caplog.at_level(logging.INFO, logger="openbilliards.cavity"):
         assert main(["--config", cfg_path, "solve-cavity"]) == 0
     assert any("cache hit" in r.message for r in caplog.records)
     assert (tmp_path / "out" / "energies.csv").read_bytes() == first
@@ -213,13 +214,13 @@ def _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, spoil):
     first = (tmp_path / "out" / "energies.csv").read_bytes()
     (slot,) = cache.iterdir()
     spoil(slot)
-    with caplog.at_level(logging.INFO, logger="openbilliards.cli"):
+    with caplog.at_level(logging.INFO, logger="openbilliards.cavity"):
         assert main(["--config", cfg_path, "solve-cavity"]) == 0
     assert any("unusable" in r.message for r in caplog.records)
     assert (tmp_path / "out" / "energies.csv").read_bytes() == first
     assert [p.name for p in cache.iterdir()] == [slot.name]
     caplog.clear()
-    with caplog.at_level(logging.INFO, logger="openbilliards.cli"):
+    with caplog.at_level(logging.INFO, logger="openbilliards.cavity"):
         assert main(["--config", cfg_path, "solve-cavity"]) == 0
     assert any("cache hit" in r.message for r in caplog.records)
 
@@ -247,6 +248,69 @@ def test_old_format_cache_entry_is_replaced(tmp_path, caplog, monkeypatch):
         (slot / "meta.json").write_text(json.dumps(meta))
 
     _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, mark_old_format)
+
+
+@pytest.mark.parametrize("name", ["energies.npy", "interface.npy", "vectors.npy"])
+def test_empty_array_file_is_replaced(tmp_path, caplog, monkeypatch, name):
+    # what a power loss can leave of a file renamed into place without fsync
+    def empty(slot):
+        (slot / name).write_bytes(b"")
+
+    _replaces_spoiled_entry(tmp_path, caplog, monkeypatch, empty)
+
+
+def test_entry_published_by_another_run_is_kept(tmp_path, caplog, monkeypatch):
+    """A run that loses the publish to a concurrent run keeps that run's entry,
+    leaves no staging directory and writes its outputs from its own solve."""
+    cache = tmp_path / "cachedir"
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(cache))
+    cfg_path = small_rect_config(tmp_path)
+    real_replace = os.replace
+
+    def publish_first(src, dst):  # the other run renames its entry in first
+        shutil.copytree(src, dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", publish_first)
+    with caplog.at_level(logging.INFO, logger="openbilliards.cavity"):
+        assert main(["--config", cfg_path, "sweep"]) == 0
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert any("published by another run" in r.message for r in caplog.records)
+    (slot,) = cache.iterdir()
+    assert (tmp_path / "out" / "sweep.csv").exists()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="openbilliards.cavity"):
+        assert main(["--config", cfg_path, "sweep"]) == 0
+    assert any("cache hit" in r.message for r in caplog.records)
+    assert [p.name for p in cache.iterdir()] == [slot.name]
+
+
+def test_unwritable_cache_keeps_the_solve(tmp_path, caplog, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(blocker / "cachedir"))
+    cfg_path = small_rect_config(tmp_path)
+    for command in ("sweep", "spectrum"):
+        with caplog.at_level(logging.WARNING, logger="openbilliards.cavity"):
+            assert main(["--config", cfg_path, command]) == 0
+        assert any("not written" in r.message for r in caplog.records)
+        caplog.clear()
+    assert "Traceback" not in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "power_1.1-1.9.csv", "sweep.csv", "t11_1.1-1.9.csv", "tstore.bin",
+    ]
+
+
+def test_unwritable_output_dir_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = small_rect_config(tmp_path)
+    assert main(["--config", cfg_path, "--output-dir", str(blocker / "out"), "sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert "Traceback" not in err
 
 
 def test_sweep_and_spectrum_outputs(tmp_path, monkeypatch):
