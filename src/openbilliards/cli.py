@@ -40,6 +40,7 @@ from .scattering import (
     conductance,
     s_from_r,
     sweep_conductance,
+    unitarity_defect,
     write_sweep_csv,
     write_t_store,
 )
@@ -222,23 +223,38 @@ def _cache_dir(cfg):
     return base
 
 
-def get_solution(cfg):
-    """Solve the configured cavity, going through the on-disk cache."""
+def _cavity(cfg):
+    """The profile, basis and k_keep of the configured cavity; raises
+    ConfigError or ValueError for a cavity the solve would reject."""
     profile = build_profile(cfg)
     b = cfg["basis"]
     basis = BasisSpec(m_max=b["m_max"], n_max=b["n_max"])
-    return cached_solution(profile, basis, b["k_keep"], _cache_dir(cfg))
+    if not 1 <= b["k_keep"] <= basis.size:
+        raise ConfigError(f"k_keep must be in 1..{basis.size}, got {b['k_keep']}")
+    return profile, basis, b["k_keep"]
+
+
+def get_solution(cfg):
+    """Solve the configured cavity, going through the on-disk cache."""
+    return cached_solution(*_cavity(cfg), _cache_dir(cfg))
 
 
 def _outdir(cfg):
+    """Check the cavity config, then create the output directory.
+
+    Commands call it after their own config checks and before the solve: a
+    rejected config leaves no directory, and an unusable directory fails the
+    run before any work.
+    """
+    _cavity(cfg)
     path = Path(cfg["output_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def cmd_solve_cavity(cfg) -> int:
-    solution = get_solution(cfg)
     out = _outdir(cfg) / "energies.csv"
+    solution = get_solution(cfg)
     write_table(
         out, header_lines(cfg), ("index", "energy"), ("d", ".12g"),
         np.arange(solution.k_keep), solution.energies,
@@ -253,9 +269,9 @@ def _sweep_grid(cfg):
 
 
 def cmd_sweep(cfg) -> int:
-    solution = get_solution(cfg)
-    result = sweep_conductance(solution, _sweep_grid(cfg))
+    grid = _sweep_grid(cfg)
     out = _outdir(cfg)
+    result = sweep_conductance(get_solution(cfg), grid)
     write_sweep_csv(result, out / "sweep.csv", header_lines(cfg))
     write_t_store(result, out / "tstore.bin")
     worst = float(np.max(result.unitarity_defect))
@@ -272,11 +288,13 @@ def cmd_spectrum(cfg) -> int:
     A sweep point does not depend on the rest of the grid, so the points
     swept here equal the full sweep's at the same k, bit for bit.
     """
-    solution = get_solution(cfg)
-    grid = check_sweep_grid(solution, _sweep_grid(cfg))  # rejects what `sweep` rejects
     windows = cfg["spectra"]["windows"]
     if not windows:
         raise ConfigError("spectra.windows is empty; spectrum has nothing to compute")
+    grid = _sweep_grid(cfg)
+    out = _outdir(cfg)
+    solution = get_solution(cfg)
+    grid = check_sweep_grid(solution, grid)  # rejects what `sweep` rejects
     picked = [window_points(grid, (w["k_min"], w["k_max"])) for w in windows]
     result = sweep_conductance(solution, grid[np.unique(np.concatenate(picked))])
     pad = cfg["spectra"]["pad_factor"]
@@ -291,7 +309,6 @@ def cmd_spectrum(cfg) -> int:
             lengths[keep], power[keep], band=(2.0, 20.0), min_prominence=0.01
         )
         tables.append((window, lengths[keep], power[keep], amps[keep, 0, 0], peaks))
-    out = _outdir(cfg)
     for window, lengths, power, t11, peaks in tables:
         lo, hi, n_modes = window["k_min"], window["k_max"], window["n_modes"]
         tag = f"{lo:g}-{hi:g}"
@@ -329,6 +346,7 @@ def cmd_two_body(cfg) -> int:
             f"two_body.states must be between 1 and basis.k_keep, got {tb['states']}"
         )
     spec = InteractionSpec(potential=potential, quad_order=tb["quad_order"])
+    out = _outdir(cfg) / "pair_energies.csv"
     solution = get_solution(cfg)
     states = list(range(tb["states"]))
     try:
@@ -336,7 +354,6 @@ def cmd_two_body(cfg) -> int:
     except ArithmeticError as err:  # the quadrature order check failed
         print(f"error: {err}", file=sys.stderr)
         return 1
-    out = _outdir(cfg) / "pair_energies.csv"
     write_pair_energies_csv(
         out,
         energies,
@@ -393,25 +410,22 @@ def _check_free_guide():
 def _check_barrier(inject_fault=False):
     """Largest |dT| on acceptance criterion 1's grid: V0 = 1, 200 energies in [0.1, 20]."""
     v0 = 1.0
-    table = BarrierProblem(height=v0).table()
-    errors = []
-    for energy in np.linspace(0.1, 20.0, 200):
-        space = lead_space(energy)
-        rmat = r_matrix(table, space)
-        if inject_fault:
-            # Negative control: sign error on the m = 0 series term.
-            rmat = dataclasses.replace(rmat, regular=rmat.regular - 2.0 / (energy - v0))
-        t_ours = conductance(s_from_r(rmat, space))
-        errors.append(abs(t_ours - exact_transmission(energy, v0)))
-    return np.max(errors)  # a NaN propagates and fails the check
+    energies = np.linspace(0.1, 20.0, 200)
+    space = lead_space(energies)  # one stack of 200 energies
+    rmat = r_matrix(BarrierProblem(height=v0).table(), space)
+    if inject_fault:
+        # Negative control: sign error on the m = 0 series term.
+        shift = 2.0 / (energies - v0)
+        rmat = dataclasses.replace(rmat, regular=rmat.regular - shift[:, None, None])
+    exact = [exact_transmission(energy, v0) for energy in energies]
+    return np.max(np.abs(conductance(s_from_r(rmat, space)) - exact))  # NaN fails it
 
 
 def _check_cayley_unitarity():
     rng = np.random.default_rng(3)
     raw = rng.normal(size=(6, 6))
     rmat = ReactionMatrix(regular=0.5 * (raw + raw.T), residue=np.zeros(6), gap=1.0)
-    smat = cayley_smatrix(rmat, np.linspace(1.0, 2.5, 6))
-    return float(np.max(np.abs(smat @ smat.conj().T - np.eye(6))))
+    return unitarity_defect(cayley_smatrix(rmat, np.linspace(1.0, 2.5, 6)))
 
 
 def _check_shift_theorem():
@@ -468,7 +482,8 @@ def cmd_validate(cfg, inject_fault=False) -> int:
         "checks": report,
         "all_pass": all(c["pass"] for c in report),
     }
-    out = _outdir(cfg) / "validation.json"
+    out = Path(cfg["output_dir"]) / "validation.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

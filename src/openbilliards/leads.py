@@ -42,31 +42,49 @@ class IllConditionedEnergy(ArithmeticError):
 
 @dataclass(frozen=True)
 class LeadSpace:
-    """Open-channel set of the two identical leads at one energy."""
+    """Open-channel set of the two identical leads at one energy, or at a
+    stack of energies that all open the same channels."""
 
-    energy: float
+    energy: float | Array  # a float, or a (p,) stack
     lead_width: float
-    wavevectors: Array  # k_n for n = 1..n_open, strictly decreasing, >= 0
+    wavevectors: Array  # (..., n_open): k_n for n = 1..n_open, strictly decreasing, >= 0
 
     @property
     def n_open(self) -> int:
-        return self.wavevectors.size
+        return self.wavevectors.shape[-1]
 
 
-def channel_space(energy: float, lead_width: float) -> LeadSpace:
+def _thresholds(energies: Array, lead_width: float) -> Array:
+    """Channel thresholds (n*pi/w)^2 for n = 1 up to one past the highest open."""
+    if not np.all(energies > 0.0):
+        raise ValueError(f"energy must be positive, got {np.min(energies)}")
+    if lead_width <= 0.0:
+        raise ValueError(f"lead width must be positive, got {lead_width}")
+    n_max = int(math.floor(lead_width * math.sqrt(np.max(energies)) / math.pi)) + 1
+    return (np.arange(1, n_max + 1) * math.pi / lead_width) ** 2
+
+
+def channel_counts(energies: Array, lead_width: float) -> NDArray[np.int64]:
+    """Number of open channels at each of `energies` (see `channel_space`)."""
+    energies = np.asarray(energies, dtype=float)
+    thresholds = _thresholds(energies, lead_width)
+    return np.count_nonzero(thresholds <= energies[..., None], axis=-1)
+
+
+def channel_space(energy: float | Array, lead_width: float) -> LeadSpace:
     """Enumerate open channels at `energy` for leads of width `lead_width`.
 
     A channel is open when its threshold is <= E, so at an exact threshold
     the new channel is open with k_n = 0; it carries no flux (S_nn = -1).
+    `energy` may be a 1D stack whose energies all open the same number of
+    channels; the wave vectors then get a leading stack axis.
     """
-    if energy <= 0.0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    if lead_width <= 0.0:
-        raise ValueError(f"lead width must be positive, got {lead_width}")
-    n_max = int(math.floor(lead_width * math.sqrt(energy) / math.pi)) + 1
-    thresholds = (np.arange(1, n_max + 1) * math.pi / lead_width) ** 2
-    n_open = int(np.count_nonzero(thresholds <= energy))
-    wavevectors = np.sqrt(energy - thresholds[:n_open])
+    energies = np.asarray(energy, dtype=float)
+    counts = channel_counts(energies, lead_width)
+    n_open = int(np.max(counts))
+    if np.any(counts != n_open):
+        raise ValueError("a stack of energies must open the same number of channels")
+    wavevectors = np.sqrt(energies[..., None] - _thresholds(energies, lead_width)[:n_open])
     return LeadSpace(energy=energy, lead_width=lead_width, wavevectors=wavevectors)
 
 
@@ -117,31 +135,41 @@ class ReactionMatrix:
 
     `regular` is the real symmetric pole sum without one level, `residue`
     that level's interface values and `gap` = E - E_level, which may be 0.
-    A finite R is passed as `regular` with a zero residue.
+    A finite R is passed as `regular` with a zero residue. A stack of
+    reaction matrices carries the same leading axes on all three fields.
     """
 
-    regular: Array  # (n, n), exactly symmetric
-    residue: Array  # (n,)
-    gap: float
+    regular: Array  # (..., n, n), exactly symmetric
+    residue: Array  # (..., n)
+    gap: float | Array  # (...)
 
 
 def r_matrix(table: OverlapTable, space: LeadSpace) -> ReactionMatrix:
     """Reaction matrix over open channels, blocks ordered (left, right).
 
     The retained level nearest E is split off as the pole term, so R is
-    defined at every energy, exactly on a cavity level too.
+    defined at every energy, exactly on a cavity level too. A stacked
+    `space` gives a stack of reaction matrices; each is the one its energy
+    alone gives, bit for bit.
     """
     n = space.n_open
     if n > table.n_lead:
         raise ValueError(f"table holds {table.n_lead} channels, need {n}")
     if abs(space.lead_width - table.lead_width) > INTERFACE_TOL:
         raise ValueError("lead width mismatch between table and channel space")
-    gaps = space.energy - table.energies
-    nearest = int(np.argmin(np.abs(gaps)))
-    gap = float(gaps[nearest])
-    gaps[nearest] = np.inf  # drops the split-off level from the sum
-    phi = np.hstack([table.left[:, :n], table.right[:, :n]])
-    regular = phi.T @ (phi / gaps[:, None])
+    energy = np.asarray(space.energy, dtype=float)
+    gaps = energy.reshape(-1, 1) - table.energies  # one row per energy
+    rows = np.arange(energy.size)
+    nearest = np.argmin(np.abs(gaps), axis=1)
+    gap = gaps[rows, nearest]
+    gaps[rows, nearest] = np.inf  # drops the split-off level from the sum
+    phi = np.concatenate([table.left[:, :n], table.right[:, :n]], axis=1)
+    regular = np.empty((energy.size, 2 * n, 2 * n))
+    for i, row in enumerate(gaps):  # one product per energy, as for one energy
+        regular[i] = phi.T @ (phi / row[:, None])
+    regular = regular.reshape(energy.shape + (2 * n, 2 * n))
     return ReactionMatrix(
-        regular=0.5 * (regular + regular.T), residue=phi[nearest].copy(), gap=gap
+        regular=0.5 * (regular + regular.mT),
+        residue=phi[nearest].reshape(energy.shape + (2 * n,)),
+        gap=gap.reshape(energy.shape)[()],  # a scalar for one energy
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,25 +36,34 @@ class BarrierProblem:
         """Levels V0 + (m*pi)^2, m = 0..m_trunc, as a one-channel pole table.
 
         The Neumann functions sqrt(eps_m) cos(m*pi*x) (eps_0 = 1, else 2)
-        take sqrt(eps_m) at x = 0 and sqrt(eps_m) (-1)^m at x = 1.
+        take sqrt(eps_m) at x = 0 and sqrt(eps_m) (-1)^m at x = 1. Built on
+        the first call; later calls return the same read-only table.
         """
+        return self._table
+
+    @cached_property
+    def _table(self) -> OverlapTable:
         m = np.arange(self.m_trunc + 1)
         left = np.full(m.size, math.sqrt(2.0))
         left[0] = 1.0
-        return OverlapTable(
+        table = OverlapTable(
             lead_width=1.0,
             energies=self.height + (m * math.pi) ** 2,
             left=left[:, None],
             right=np.where(m % 2 == 0, left, -left)[:, None],
         )
+        for values in (table.energies, table.left, table.right):
+            values.flags.writeable = False
+        return table
 
 
-def lead_space(energy: float) -> LeadSpace:
-    """The one open channel k = sqrt(E) of the 1D leads."""
-    e = float(energy)
-    if e <= 0.0:
-        raise ValueError(f"energy must be positive, got {e}")
-    return LeadSpace(energy=e, lead_width=1.0, wavevectors=np.array([math.sqrt(e)]))
+def lead_space(energy: float | np.ndarray) -> LeadSpace:
+    """The one open channel k = sqrt(E) of the 1D leads, at one energy or a
+    1D stack of them."""
+    e = np.asarray(energy, dtype=float)
+    if not e.min() > 0.0:
+        raise ValueError(f"energy must be positive, got {energy}")
+    return LeadSpace(energy=e[()], lead_width=1.0, wavevectors=np.sqrt(e[..., None]))
 
 
 def exact_transmission(energy: float, height: float) -> float:
@@ -80,4 +90,4 @@ def exact_transmission(energy: float, height: float) -> float:
 def rmatrix_transmission(energy: float, problem: BarrierProblem) -> float:
     """|S_21|^2 from the truncated reaction matrix."""
     space = lead_space(energy)
-    return conductance(s_from_r(r_matrix(problem.table(), space), space))
+    return float(conductance(s_from_r(r_matrix(problem.table(), space), space)))

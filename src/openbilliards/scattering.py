@@ -21,13 +21,24 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cavity import CavitySolution
-from .leads import LeadSpace, ReactionMatrix, channel_space, overlaps, r_matrix
+from .leads import (
+    LeadSpace,
+    ReactionMatrix,
+    channel_counts,
+    channel_space,
+    overlaps,
+    r_matrix,
+)
 from .tables import write_table
 
 Array = NDArray[np.float64]
 CArray = NDArray[np.complex128]
 
 logger = logging.getLogger(__name__)
+
+# Points per stacked S-matrix evaluation in a sweep: keeps the stack's
+# temporaries at a few MB whatever the grid size.
+_SLICE = 64
 
 
 def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
@@ -46,53 +57,84 @@ def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
     its threshold (k = 0) carries no flux: S_nn = -1 and its other entries
     vanish. The 2D sweep and the 1D barrier (a one-channel `OverlapTable`)
     both reach it through `s_from_r`.
+
+    A stack of reaction matrices and wave vectors (leading axes on every
+    field) gives a stack of S-matrices, each equal bit for bit to the one
+    its point alone gives.
     """
     k = np.asarray(wavevectors, dtype=float)
-    n = k.size
-    if rmat.regular.shape != (n, n) or rmat.residue.shape != (n,):
-        raise ValueError(f"R shape {rmat.regular.shape} does not match {n} channels")
-    if np.any(k < 0.0):
+    n = k.shape[-1]
+    if rmat.regular.shape != k.shape + (n,) or rmat.residue.shape != k.shape:
+        raise ValueError(f"R shape {rmat.regular.shape} does not match channels {k.shape}")
+    if k.min(initial=0.0) < 0.0:
         raise ValueError("channel wave vectors must not be negative")
     sk = np.sqrt(k)
-    levels, vectors = np.linalg.eigh(sk[:, None] * rmat.regular * sk[None, :])
+    levels, vectors = np.linalg.eigh(sk[..., :, None] * rmat.regular * sk[..., None, :])
     inverse = 1.0 / (1.0 + 1j * levels)  # eigenvalues of M^(-1)
-    coupling = vectors.T @ (sk * rmat.residue)  # u in the eigenbasis
-    smat = np.eye(n) - 2.0 * (vectors * inverse) @ vectors.T
-    denom = rmat.gap + 1j * np.sum(inverse * coupling**2)
-    if denom != 0.0:  # zero only for a decoupled level (u = 0) on its pole
-        v = vectors @ (inverse * coupling)
-        smat += (2j / denom) * np.outer(v, v)
+    coupling = (vectors.mT @ (sk * rmat.residue)[..., None])[..., 0]  # u in the eigenbasis
+    smat = np.eye(n) - 2.0 * (vectors * inverse[..., None, :]) @ vectors.mT
+    weighted = inverse * coupling  # v in the eigenbasis
+    denom = rmat.gap + 1j * np.sum(weighted * coupling, axis=-1)
+    # zero only for a decoupled level (u = 0) on its pole, which adds nothing
+    scale = np.divide(2j, denom, out=np.zeros(np.shape(denom), complex), where=denom != 0.0)
+    v = (vectors @ weighted[..., None])[..., 0]
+    smat += scale[..., None, None] * (v[..., :, None] * v[..., None, :])
     # time-reversal symmetry is exact; BLAS products are symmetric only to
     # rounding
-    return 0.5 * (smat + smat.T)
+    return 0.5 * (smat + smat.mT)
 
 
 def s_from_r(rmat: ReactionMatrix, space: LeadSpace) -> CArray:
     """Flux-normalized S-matrix from the reaction matrix at `space.energy`.
 
     A plain 2N x 2N array with blocks [[r, t'], [t, r']] over the N open
-    channels of each lead; 0 x 0 when no channel is open.
+    channels of each lead; 0 x 0 when no channel is open. A stacked `space`
+    and `rmat` give a stack of S-matrices.
     """
-    both = np.concatenate([space.wavevectors, space.wavevectors])
+    both = np.concatenate([space.wavevectors, space.wavevectors], axis=-1)
     return cayley_smatrix(rmat, both)
 
 
-def conductance(smat: CArray) -> float:
-    """Dimensionless Landauer sum T = trace(t t^dagger); 0.0 for a 0 x 0 S."""
-    n = smat.shape[0] // 2
-    return float(np.sum(np.abs(smat[n:, :n]) ** 2))
+def conductance(smat: CArray) -> float | Array:
+    """Dimensionless Landauer sum T = trace(t t^dagger); 0.0 for a 0 x 0 S.
+
+    One value per matrix of a stack.
+    """
+    n = smat.shape[-1] // 2
+    flux = np.abs(smat[..., n:, :n]) ** 2
+    return np.sum(flux.reshape(flux.shape[:-2] + (n * n,)), axis=-1)
+
+
+def unitarity_defect(smat: CArray) -> float | Array:
+    """max |S S^dagger - I|; 0.0 for a 0 x 0 S. One value per matrix of a stack."""
+    product = smat @ smat.conj().mT
+    return np.max(np.abs(product - np.eye(smat.shape[-1])), axis=(-2, -1), initial=0.0)
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Conductance sweep over a k-grid in units of pi/w, one entry per point."""
+    """Conductance sweep over a k-grid in units of pi/w, one entry per point.
+
+    The t blocks are stored as the t-store holds them: every point's
+    n_open x n_open block raveled and concatenated in grid order.
+    """
 
     lead_width: float
     k: Array  # the requested grid, units pi/w
     transmission: Array
     n_open: NDArray[np.int64]
     unitarity_defect: Array
-    t_blocks: tuple[CArray, ...]  # per point, n_open x n_open
+    t: CArray  # (sum of n_open^2,) complex
+
+    @property
+    def t_offsets(self) -> NDArray[np.int64]:
+        """Where each point's block starts in `t`, and the end: n_open.size + 1 entries."""
+        return np.concatenate([[0], np.cumsum(self.n_open**2)])
+
+    @property
+    def t_blocks(self) -> tuple[CArray, ...]:
+        """Per-point n_open x n_open views of `t`."""
+        return _split_blocks(self.t, self.n_open)
 
     @property
     def k_requested(self) -> Array:
@@ -103,6 +145,11 @@ class SweepResult:
     def skipped(self) -> tuple[tuple[float, str], ...]:
         """Always empty: no point is skipped."""
         return ()
+
+
+def _split_blocks(flat: CArray, n_open: NDArray[np.int64]) -> tuple[CArray, ...]:
+    bounds = np.cumsum(n_open**2)[:-1]
+    return tuple(b.reshape(n, n) for b, n in zip(np.split(flat, bounds), n_open))
 
 
 def check_sweep_grid(solution: CavitySolution, k_grid: Array) -> Array:
@@ -131,9 +178,11 @@ def sweep_conductance(solution: CavitySolution, k_grid: Array) -> SweepResult:
     """Sweep S-matrices over `k_grid` (units pi/w), reusing one solution.
 
     Every point is computed, on channel thresholds and cavity levels too.
-    Below the first threshold no channel is open and T = 0. T at a point
-    does not depend on the rest of the grid. A grid reaching past the axial
-    cutoff k_c = m_max*w/L logs a warning.
+    Below the first threshold no channel is open and T = 0. The points that
+    open the same channels are swept as stacks of at most `_SLICE` points,
+    and a point's T, t block and unitarity defect are bit for bit those of
+    `s_from_r` at its energy alone, whatever the rest of the grid. A grid
+    reaching past the axial cutoff k_c = m_max*w/L logs a warning.
     """
     k_grid = check_sweep_grid(solution, k_grid)
     w = solution.profile.lead_width
@@ -146,23 +195,29 @@ def sweep_conductance(solution: CavitySolution, k_grid: Array) -> SweepResult:
         )
     energies = (k_grid * math.pi / w) ** 2
     table = overlaps(solution)
-
-    points = []
-    for energy in energies:
-        space = channel_space(float(energy), w)
-        n = space.n_open
-        smat = s_from_r(r_matrix(table, space), space)
-        defect = np.max(np.abs(smat @ smat.conj().T - np.eye(2 * n)), initial=0.0)
-        points.append((conductance(smat), n, defect, smat[n:, :n].copy()))
-    transmission, n_open, defects, blocks = zip(*points)
-    return SweepResult(
+    n_open = channel_counts(energies, w)
+    result = SweepResult(
         lead_width=w,
         k=k_grid.copy(),
-        transmission=np.asarray(transmission),
-        n_open=np.asarray(n_open, dtype=np.int64),
-        unitarity_defect=np.asarray(defects),
-        t_blocks=blocks,
+        transmission=np.empty(k_grid.size),
+        n_open=n_open,
+        unitarity_defect=np.empty(k_grid.size),
+        t=np.empty(int(np.sum(n_open**2)), dtype=complex),
     )
+    offsets = result.t_offsets
+    # The points between two channel thresholds share one channel space:
+    # their S-matrices are formed as one stack, a slice at a time.
+    for n in np.unique(n_open):
+        group = np.flatnonzero(n_open == n)
+        for start in range(0, group.size, _SLICE):
+            idx = group[start : start + _SLICE]
+            space = channel_space(energies[idx], w)
+            smat = s_from_r(r_matrix(table, space), space)
+            result.transmission[idx] = conductance(smat)
+            result.unitarity_defect[idx] = unitarity_defect(smat)
+            at = offsets[idx, None] + np.arange(n * n)
+            result.t[at] = smat[:, n:, :n].reshape(idx.size, n * n)
+    return result
 
 
 def write_sweep_csv(result: SweepResult, path, header_lines=()) -> None:
@@ -180,14 +235,13 @@ def write_t_store(result: SweepResult, path) -> None:
     with open(path, "wb") as fh:
         np.save(fh, result.k)
         np.save(fh, np.asarray(result.n_open, dtype=np.int64))
-        np.save(fh, np.concatenate([b.ravel() for b in result.t_blocks], dtype=np.complex128))
+        np.save(fh, np.asarray(result.t, dtype=np.complex128))
 
 
 def read_t_store(path) -> tuple[Array, list[CArray]]:
     """Inverse of write_t_store: the grid and one n_open x n_open block per point."""
     with open(path, "rb") as fh:
         ks, n_open, flat = np.load(fh), np.load(fh), np.load(fh)
-    sizes = n_open**2
-    if n_open.shape != ks.shape or sizes.sum() != flat.size:
+    if n_open.shape != ks.shape or np.sum(n_open**2) != flat.size:
         raise ValueError(f"{path}: {ks.size} points, {n_open.size} counts, {flat.size} values")
-    return ks, [b.reshape(n, n) for b, n in zip(np.split(flat, np.cumsum(sizes)[:-1]), n_open)]
+    return ks, list(_split_blocks(flat, n_open))

@@ -69,13 +69,17 @@ def uniform_series(
     steps = np.diff(grid)
     if np.max(steps) - np.min(steps) > GRID_RTOL * max(abs(lo), abs(hi)):
         raise ValueError("sweep grid is not uniform inside the window")
-    for i in inside:
-        if result.n_open[i] < n_modes:
-            raise ValueError(
-                f"only {result.n_open[i]} channels open at k={result.k[i]:.6g}, "
-                f"need {n_modes}"
-            )
-    samples = np.stack([result.t_blocks[i][:n_modes, :n_modes] for i in inside])
+    n_open = result.n_open[inside]
+    if np.any(n_open < n_modes):
+        i = inside[np.argmax(n_open < n_modes)]
+        raise ValueError(
+            f"only {result.n_open[i]} channels open at k={result.k[i]:.6g}, "
+            f"need {n_modes}"
+        )
+    # entry (a, b) of point i's block sits at offset_i + a * n_open_i + b of `t`
+    modes = np.arange(n_modes)
+    at = result.t_offsets[inside, None, None] + modes[:, None] * n_open[:, None, None] + modes
+    samples = result.t[at]
     return SpectrumSeries(k=grid * scale, samples=samples)
 
 

@@ -313,6 +313,20 @@ def test_unwritable_output_dir_exits_2(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve-cavity", "sweep", "spectrum", "two-body"])
+def test_unusable_output_dir_fails_before_the_solve(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
+    calls = []
+    monkeypatch.setattr(cli, "get_solution", lambda cfg: calls.append(cfg))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = small_rect_config(tmp_path)
+    assert main(["--config", cfg_path, "--output-dir", str(blocker / "out"), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert calls == []
+
+
 def test_sweep_and_spectrum_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBILLIARDS_CACHE", str(tmp_path / "cachedir"))
     cfg_path = small_rect_config(tmp_path)

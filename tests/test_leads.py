@@ -10,6 +10,7 @@ from openbilliards.geometry import make_rectangle, make_reference_cavity, min_wi
 from openbilliards.leads import (
     LeadSpace,
     OverlapTable,
+    channel_counts,
     channel_space,
     overlaps,
     r_matrix,
@@ -183,3 +184,31 @@ def test_r_matrix_channel_capacity_check():
     space = channel_space((2.5 * math.pi) ** 2, 1.0)
     with pytest.raises(ValueError):
         r_matrix(table, space)
+
+
+def test_channel_space_of_a_stack_equals_each_energy():
+    energies = (np.array([2.1, 2.5, 2.0, 2.99]) * math.pi) ** 2
+    stack = channel_space(energies, 1.0)
+    assert stack.n_open == 2 and stack.wavevectors.shape == (4, 2)
+    for energy, row in zip(energies, stack.wavevectors):
+        assert np.array_equal(row, channel_space(float(energy), 1.0).wavevectors)
+    assert channel_counts(energies, 1.0).tolist() == [2, 2, 2, 2]
+    assert channel_counts((np.array([0.5, 1.0, 3.5]) * math.pi) ** 2, 1.0).tolist() == [0, 1, 3]
+    with pytest.raises(ValueError, match="same number of channels"):
+        channel_space((np.array([1.5, 2.5]) * math.pi) ** 2, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        channel_counts(np.array([1.0, np.nan]), 1.0)
+
+
+def test_r_matrix_of_a_stack_equals_each_energy():
+    sol = solve_cavity(make_reference_cavity(samples=1024), BasisSpec(30, 16), 200)
+    table = overlaps(sol)
+    w = table.lead_width
+    energies = (np.array([4.2, 4.5, 4.9]) * math.pi / w) ** 2
+    stack = r_matrix(table, channel_space(energies, w))
+    assert stack.regular.shape == (3, 8, 8) and stack.gap.shape == (3,)
+    for i, energy in enumerate(energies):
+        one = r_matrix(table, channel_space(float(energy), w))
+        assert np.array_equal(stack.regular[i], one.regular)
+        assert np.array_equal(stack.residue[i], one.residue)
+        assert stack.gap[i] == one.gap

@@ -174,6 +174,24 @@ def test_transmission_is_the_pipeline_conductance():
         assert rmatrix_transmission(e_val, prob) == conductance(smat)
 
 
+def test_table_is_built_once_and_read_only():
+    prob = BarrierProblem(height=1.0)
+    table = prob.table()
+    assert prob.table() is table
+    with pytest.raises(ValueError):
+        table.energies[0] = 0.0
+
+
+def test_stacked_energies_equal_single_calls():
+    prob = BarrierProblem(height=1.0)
+    energies = np.array([0.4, 1.0, 2.0, 1.0 + math.pi**2, 17.0])
+    space = lead_space(energies)
+    stack = conductance(s_from_r(r_matrix(prob.table(), space), space))
+    assert stack.tolist() == [rmatrix_transmission(e_val, prob) for e_val in energies]
+    with pytest.raises(ValueError):
+        lead_space(np.array([1.0, 0.0]))
+
+
 def test_full_energy_scan_accuracy_and_speed():
     prob = BarrierProblem(height=1.0)
     energies = np.linspace(0.1, 20.0, 200)

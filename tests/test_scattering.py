@@ -18,11 +18,13 @@ from openbilliards.leads import (
     r_matrix,
 )
 from openbilliards.scattering import (
+    _SLICE,
     cayley_smatrix,
     conductance,
     read_t_store,
     s_from_r,
     sweep_conductance,
+    unitarity_defect,
     write_sweep_csv,
     write_t_store,
 )
@@ -323,3 +325,86 @@ def test_sweep_point_does_not_depend_on_the_rest_of_the_grid(
         assert np.array_equal(part.transmission, full.transmission[inside]), (lo, hi)
         for block, i in zip(part.t_blocks, inside):
             assert np.array_equal(block, full.t_blocks[i]), (lo, hi, full.k[i])
+
+
+def test_stacked_cayley_equals_per_slice_calls():
+    rng = np.random.default_rng(13)
+    raw = rng.normal(size=(7, 4, 4))
+    regular = 0.5 * (raw + raw.mT)
+    residue = rng.normal(size=(7, 4))
+    gap = rng.normal(size=7)
+    k = rng.uniform(0.5, 3.0, size=(7, 4))
+    residue[3], gap[3] = 0.0, 0.0  # a decoupled level on its pole: denom == 0
+    gap[5] = 0.0  # a coupled level on its pole
+    k[1, 2] = 0.0  # a channel at its threshold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = cayley_smatrix(ReactionMatrix(regular, residue, gap), k)
+        part = cayley_smatrix(ReactionMatrix(regular[2:5], residue[2:5], gap[2:5]), k[2:5])
+    assert stack.shape == (7, 4, 4)
+    for i in range(7):
+        one = cayley_smatrix(ReactionMatrix(regular[i], residue[i], gap[i]), k[i])
+        assert np.array_equal(stack[i], one), i
+    assert np.array_equal(part, stack[2:5])
+    assert np.array_equal(stack[3], cayley_smatrix(finite(regular[3]), k[3]))
+    assert np.all(unitarity_defect(stack) < 1e-13)
+
+
+def exact_level_k(solution, index):
+    """A k (units pi/w) whose sweep energy (k*pi/w)^2 is cavity level `index`
+    exactly, or None when no float k gives it."""
+    w = solution.profile.lead_width
+    level = solution.energies[index]
+    k_val = w * math.sqrt(level) / math.pi
+    for _ in range(64):
+        energy = (k_val * math.pi / w) ** 2
+        if energy == level:
+            return k_val
+        k_val = np.nextafter(k_val, math.inf if energy < level else -math.inf)
+    return None
+
+
+def test_grouped_sweep_equals_single_point_evaluation(guide_solution):
+    w = guide_solution.profile.lead_width
+    exact = (exact_level_k(guide_solution, j) for j in range(8, 60))
+    on_level = next(k for k in exact if k is not None and k % 1.0 > 0.1)  # off a threshold
+    # unsorted; a duplicate k, no open channel (0.5), exact thresholds (1.0, 2.0)
+    grid = np.array([2.4, 0.5, 1.3, 2.0, on_level, 1.3, 2.9, 1.0, 1.7, 2.4, 0.8])
+    result = sweep_conductance(guide_solution, grid)
+    table = overlaps(guide_solution)
+    energies = (grid * math.pi / w) ** 2
+    gaps = []
+    for i, energy in enumerate(energies):
+        space = channel_space(float(energy), w)
+        rmat = r_matrix(table, space)
+        smat = s_from_r(rmat, space)
+        n = space.n_open
+        gaps.append(rmat.gap)
+        assert result.n_open[i] == n
+        assert result.transmission[i] == conductance(smat), grid[i]
+        assert result.unitarity_defect[i] == unitarity_defect(smat), grid[i]
+        assert np.array_equal(result.t_blocks[i], smat[n:, :n]), grid[i]
+    assert 0.0 in gaps  # the exact cavity level
+    assert result.n_open.tolist() == [2, 0, 1, 2, int(on_level), 1, 2, 1, 1, 2, 0]
+    assert np.array_equal(result.t_blocks[0], result.t_blocks[9])
+
+
+def test_sweep_point_does_not_depend_on_the_grid_past_a_slice(guide_solution):
+    # 600 points that all open one channel: several stacks, the last one partial
+    full = sweep_conductance(guide_solution, np.linspace(1.05, 1.95, 600))
+    assert np.all(full.n_open == 1) and 600 % _SLICE and 600 > 2 * _SLICE
+    for picked in (np.arange(200, 320), np.arange(250, 263), np.arange(0, 600, 7),
+                   np.arange(599, 0, -3)):
+        part = sweep_conductance(guide_solution, full.k[picked])
+        assert np.array_equal(part.transmission, full.transmission[picked])
+        assert np.array_equal(part.unitarity_defect, full.unitarity_defect[picked])
+        assert np.array_equal(part.t, full.t[picked])
+
+
+def test_t_blocks_are_views_of_the_flat_layout(guide_solution):
+    result = sweep_conductance(guide_solution, np.r_[0.5, np.linspace(1.1, 2.9, 7)])
+    assert result.t.shape == (int(np.sum(result.n_open**2)),)
+    offsets = result.t_offsets
+    for i, block in enumerate(result.t_blocks):
+        assert block.size == 0 or np.shares_memory(block, result.t)
+        assert np.array_equal(block.ravel(), result.t[offsets[i] : offsets[i + 1]])

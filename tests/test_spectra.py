@@ -131,7 +131,7 @@ def synthetic_sweep(width=1.0):
         transmission=transmission,
         n_open=np.full(grid.size, 2, dtype=np.int64),
         unitarity_defect=np.zeros(grid.size),
-        t_blocks=blocks,
+        t=np.concatenate([b.ravel() for b in blocks]),
     )
 
 
@@ -162,7 +162,7 @@ def test_uniform_series_validates_window_and_channels():
         transmission=ragged.transmission,
         n_open=ragged.n_open,
         unitarity_defect=ragged.unitarity_defect,
-        t_blocks=ragged.t_blocks,
+        t=ragged.t,
     )
     with pytest.raises(ValueError, match="not uniform"):
         uniform_series(bent_result, (2.05, 2.85), n_modes=2)
