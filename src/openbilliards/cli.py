@@ -414,9 +414,12 @@ def _check_barrier(inject_fault=False):
     space = lead_space(energies)  # one stack of 200 energies
     rmat = r_matrix(BarrierProblem(height=v0).table(), space)
     if inject_fault:
-        # Negative control: sign error on the m = 0 series term.
-        shift = 2.0 / (energies - v0)
-        rmat = dataclasses.replace(rmat, regular=rmat.regular - shift[:, None, None])
+        # Negative control: sign error on the m = 0 series term. That level is
+        # even, so its term sqrt(2)^2 / (E - V0) sits in the even block.
+        term = 2.0 / (energies - v0)
+        regular = rmat.regular.copy()
+        regular[:, 0] -= 2.0 * term[:, None, None]
+        rmat = dataclasses.replace(rmat, regular=regular)
     exact = [exact_transmission(energy, v0) for energy in energies]
     return np.max(np.abs(conductance(s_from_r(rmat, space)) - exact))  # NaN fails it
 

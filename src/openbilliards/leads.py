@@ -11,12 +11,24 @@ summed over the retained cavity eigenpairs. Evanescent (closed) channels
 are excluded throughout. R is kept split as a regular part plus the pole
 term of the level nearest E, so that the S-matrix can be formed at any
 energy, the cavity levels included (see `scattering.cayley_smatrix`).
+
+R is formed in one of two layouts, chosen by the table's content
+(`OverlapTable.blocks`). A mirror-symmetric cavity has levels that are even
+(phi(R) = phi(L)) or odd (phi(R) = -phi(L)). In the channels (L +/- R)/sqrt(2)
+its R falls apart into an even and an odd n x n block, each summed over
+its own levels with amplitudes sqrt(2) phi(L) and split at its own nearest
+level: two blocks on a block axis. Any other table gives one block over
+the lead channels, left then right, 2n wide. The nearest level is split
+off per block, so two near-degenerate levels of opposite parity each get
+their own pole term; a near-degenerate pair of one parity, or any pair of
+an asymmetric cavity, still leaves one of them in the regular part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -106,6 +118,32 @@ class OverlapTable:
     def n_lead(self) -> int:
         return self.left.shape[1]
 
+    @cached_property
+    def blocks(self) -> tuple[Array, tuple[Array, ...]]:
+        """(levels, sides): the levels and amplitudes `r_matrix` sums, per block.
+
+        Two blocks when every level has right == left (even) or right ==
+        -left (odd) bit for bit, and both parities occur: levels (2, size),
+        even then odd, and one side (2, n_lead, size) of amplitudes
+        sqrt(2) * left, padded to equal size with level +inf and amplitude 0.
+        Otherwise one block without a block axis: levels (k_keep,) and the
+        sides (left.T, right.T). Amplitudes run along the levels, the axis a
+        point's scaling by 1/(E - E_j) runs along. Built on first use, once
+        per table.
+        """
+        even = np.all(self.right == self.left, axis=1)
+        odd = np.all(self.right == -self.left, axis=1) & ~even
+        if not (np.all(even | odd) and np.any(even) and np.any(odd)):
+            return self.energies, (self.left.T, self.right.T)
+        size = max(np.count_nonzero(even), np.count_nonzero(odd))
+        levels = np.full((2, size), np.inf)
+        amplitudes = np.zeros((2, self.n_lead, size))
+        for block, kept in enumerate((even, odd)):
+            count = np.count_nonzero(kept)
+            levels[block, :count] = self.energies[kept]
+            amplitudes[block, :, :count] = math.sqrt(2.0) * self.left[kept].T
+        return levels, (amplitudes,)
+
 
 def overlaps(solution: CavitySolution) -> OverlapTable:
     """Closed-form overlaps of the retained eigenstates with lead modes.
@@ -131,24 +169,28 @@ def overlaps(solution: CavitySolution) -> OverlapTable:
 
 @dataclass(frozen=True)
 class ReactionMatrix:
-    """R = regular + outer(residue, residue) / gap, over both leads' channels.
+    """R = regular + outer(residue, residue) / gap, per block of channels.
 
     `regular` is the real symmetric pole sum without one level, `residue`
     that level's interface values and `gap` = E - E_level, which may be 0.
-    A finite R is passed as `regular` with a zero residue. A stack of
-    reaction matrices carries the same leading axes on all three fields.
+    A finite R is passed as `regular` with a zero residue. In the one-block
+    layout the rows are the lead channels, left then right (2n); in the
+    two-block layout a block axis of length 2 (even, odd) precedes them and
+    each block is n x n over the channels (L +/- R)/sqrt(2) (see the module
+    docstring). A stack of reaction matrices carries the same leading axes,
+    before any block axis, on all three fields.
     """
 
-    regular: Array  # (..., n, n), exactly symmetric
-    residue: Array  # (..., n)
-    gap: float | Array  # (...)
+    regular: Array  # (..., [2,] width, width), exactly symmetric
+    residue: Array  # (..., [2,] width)
+    gap: float | Array  # (..., [2])
 
 
 def r_matrix(table: OverlapTable, space: LeadSpace) -> ReactionMatrix:
-    """Reaction matrix over open channels, blocks ordered (left, right).
+    """Reaction matrix over open channels, in the layout of `table.blocks`.
 
-    The retained level nearest E is split off as the pole term, so R is
-    defined at every energy, exactly on a cavity level too. A stacked
+    In each block the level nearest E is split off as the pole term, so R
+    is defined at every energy, exactly on a cavity level too. A stacked
     `space` gives a stack of reaction matrices; each is the one its energy
     alone gives, bit for bit.
     """
@@ -157,19 +199,25 @@ def r_matrix(table: OverlapTable, space: LeadSpace) -> ReactionMatrix:
         raise ValueError(f"table holds {table.n_lead} channels, need {n}")
     if abs(space.lead_width - table.lead_width) > INTERFACE_TOL:
         raise ValueError("lead width mismatch between table and channel space")
+    levels, sides = table.blocks
+    phi = np.concatenate([side[..., :n, :] for side in sides], axis=-2)  # ([2,] width, size)
     energy = np.asarray(space.energy, dtype=float)
-    gaps = energy.reshape(-1, 1) - table.energies  # one row per energy
-    rows = np.arange(energy.size)
-    nearest = np.argmin(np.abs(gaps), axis=1)
-    gap = gaps[rows, nearest]
-    gaps[rows, nearest] = np.inf  # drops the split-off level from the sum
-    phi = np.concatenate([table.left[:, :n], table.right[:, :n]], axis=1)
-    regular = np.empty((energy.size, 2 * n, 2 * n))
-    for i, row in enumerate(gaps):  # one product per energy, as for one energy
-        regular[i] = phi.T @ (phi / row[:, None])
-    regular = regular.reshape(energy.shape + (2 * n, 2 * n))
+    gaps = energy.reshape((-1,) + (1,) * levels.ndim) - levels  # (energies, [2,] size)
+    flat = gaps.reshape(-1, levels.shape[-1])  # a view: one row per energy and block
+    rows = np.arange(flat.shape[0])
+    nearest = np.argmin(np.abs(flat), axis=1)
+    gap = flat[rows, nearest]
+    flat[rows, nearest] = np.inf  # drops the split-off level from the sum
+    n_blocks = math.prod(levels.shape[:-1])
+    residue = phi.reshape((n_blocks,) + phi.shape[-2:])[rows % n_blocks, :, nearest]
+    width = phi.shape[-2]
+    regular = np.empty(gaps.shape[:-1] + (width, width))
+    for i, row in enumerate(gaps):  # one product per energy and block, as for one energy alone
+        regular[i] = phi @ (phi / row[..., None, :]).mT
+    shape = energy.shape + levels.shape[:-1]
+    regular = regular.reshape(shape + (width, width))
     return ReactionMatrix(
         regular=0.5 * (regular + regular.mT),
-        residue=phi[nearest].reshape(energy.shape + (2 * n,)),
-        gap=gap.reshape(energy.shape)[()],  # a scalar for one energy
+        residue=residue.reshape(shape + (width,)),
+        gap=gap.reshape(shape)[()],  # a scalar for one energy and one block
     )

@@ -45,7 +45,7 @@ def cayley_smatrix(rmat: ReactionMatrix, wavevectors: Array) -> CArray:
     """Unitary symmetric S from a reaction matrix split at its nearest pole.
 
     `wavevectors` lists the channel k's in the same order as the rows of
-    R (both leads concatenated). With At = K^(1/2) regular K^(1/2),
+    R, with the same leading axes. With At = K^(1/2) regular K^(1/2),
     u = K^(1/2) residue, g = gap, M = I + i*At and v = M^(-1) u, the
     Sherman-Morrison form of the Cayley image is
 
@@ -89,10 +89,21 @@ def s_from_r(rmat: ReactionMatrix, space: LeadSpace) -> CArray:
 
     A plain 2N x 2N array with blocks [[r, t'], [t, r']] over the N open
     channels of each lead; 0 x 0 when no channel is open. A stacked `space`
-    and `rmat` give a stack of S-matrices.
+    and `rmat` give a stack of S-matrices. An `rmat` in the two-block
+    layout (see `leads.ReactionMatrix`) gives S_even and S_odd in one stack;
+    back in the lead channels r = r' = (S_even + S_odd)/2 and
+    t = t' = (S_even - S_odd)/2.
     """
-    both = np.concatenate([space.wavevectors, space.wavevectors], axis=-1)
-    return cayley_smatrix(rmat, both)
+    k = space.wavevectors
+    if rmat.residue.ndim == k.ndim:  # one block: the lead channels, left then right
+        return cayley_smatrix(rmat, np.concatenate([k, k], axis=-1))
+    half = 0.5 * cayley_smatrix(rmat, k[..., None, :].repeat(2, axis=-2))
+    even, odd = half[..., 0, :, :], half[..., 1, :, :]
+    n = k.shape[-1]
+    smat = np.empty(k.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    smat[..., :n, :n] = smat[..., n:, n:] = even + odd
+    smat[..., n:, :n] = smat[..., :n, n:] = even - odd
+    return smat
 
 
 def conductance(smat: CArray) -> float | Array:
@@ -207,7 +218,7 @@ def sweep_conductance(solution: CavitySolution, k_grid: Array) -> SweepResult:
     offsets = result.t_offsets
     # The points between two channel thresholds share one channel space:
     # their S-matrices are formed as one stack, a slice at a time.
-    for n in np.unique(n_open):
+    for n in np.flatnonzero(np.bincount(n_open)):  # np.unique would import numpy.ma
         group = np.flatnonzero(n_open == n)
         for start in range(0, group.size, _SLICE):
             idx = group[start : start + _SLICE]

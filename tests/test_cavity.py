@@ -373,6 +373,24 @@ def test_solution_roundtrip(tmp_path):
     assert np.array_equal(load_solution(tmp_path / "again", profile).coeffs, sol.coeffs)
 
 
+def test_mirror_symmetric_solve_stores_even_and_odd_interface_rows(tmp_path):
+    # The parity split makes every kept level's right row +/- its left row
+    # bit for bit, fresh and after a cache round trip; that is what puts the
+    # sweep on the two-block layout of the reaction matrix.
+    profile = make_reference_cavity(samples=512)
+    sol = solve_cavity(profile, BasisSpec(16, 8), k_keep=60)
+    save_solution(sol, tmp_path / "cache")
+    for solution in (sol, load_solution(tmp_path / "cache", profile)):
+        left, right = solution.interface_values()
+        even = np.all(right == left, axis=1)
+        odd = np.all(right == -left, axis=1)
+        assert np.all(even ^ odd)
+        assert 20 < np.count_nonzero(even) < 40
+        levels, sides = overlaps(solution).blocks
+        size = max(np.count_nonzero(even), np.count_nonzero(odd))
+        assert levels.shape == (2, size) and len(sides) == 1
+
+
 @pytest.fixture
 def saved_entry(tmp_path):
     profile = make_reference_cavity(samples=512)

@@ -17,6 +17,19 @@ from openbilliards.leads import (
 )
 
 
+def lead_channel_r(rmat):
+    """regular + outer(residue, residue) / gap at one energy, over the lead
+    channels (left, then right), from either layout of `rmat`."""
+    residue = rmat.residue
+    gap = np.asarray(rmat.gap)[..., None, None]
+    full = rmat.regular + residue[..., :, None] * residue[..., None, :] / gap
+    if full.ndim == 2:
+        return full
+    even, odd = full
+    same, other = 0.5 * (even + odd), 0.5 * (even - odd)
+    return np.block([[same, other], [other, same]])
+
+
 def test_channel_space_two_open_modes():
     energy = (2.5 * math.pi) ** 2
     space = channel_space(energy, 1.0)
@@ -133,28 +146,28 @@ def test_r_matrix_exactly_symmetric():
     table = overlaps(sol)
     space = channel_space((4.3 * math.pi / table.lead_width) ** 2, table.lead_width)
     rmat = r_matrix(table, space)
-    assert rmat.regular.shape == (8, 8)
-    assert rmat.residue.shape == (8,)
-    assert np.array_equal(rmat.regular, rmat.regular.T)
+    # a mirror-symmetric cavity: an even and an odd block over 4 channels
+    assert rmat.regular.shape == (2, 4, 4)
+    assert rmat.residue.shape == (2, 4)
+    assert np.array_equal(rmat.regular, rmat.regular.mT)
 
 
 def test_r_matrix_splits_off_the_nearest_level():
     sol = solve_cavity(make_reference_cavity(samples=512), BasisSpec(16, 8), 40)
     table = overlaps(sol)
     target = float(sol.energies[12])
+    block = 0 if np.array_equal(table.right[12], table.left[12]) else 1  # even or odd
     for energy in (target, target + 1e-3):
         space = channel_space(energy, table.lead_width)
         n = space.n_open
         rmat = r_matrix(table, space)
-        assert rmat.gap == energy - target
-        assert np.array_equal(
-            rmat.residue, np.concatenate([table.left[12, :n], table.right[12, :n]])
-        )
+        assert rmat.gap[block] == energy - target
+        assert np.array_equal(rmat.residue[block], math.sqrt(2.0) * table.left[12, :n])
         assert np.all(np.isfinite(rmat.regular))
     # the split is exact: the dense sum over every level is recovered
     phi = np.hstack([table.left[:, :n], table.right[:, :n]])
     dense = phi.T @ (phi / (energy - table.energies)[:, None])
-    full = rmat.regular + np.outer(rmat.residue, rmat.residue) / rmat.gap
+    full = lead_channel_r(rmat)
     assert np.max(np.abs(full - dense)) < 1e-9 * np.max(np.abs(dense))
 
 
@@ -170,8 +183,7 @@ def test_r_matrix_sign_flips_across_pole():
             lead_width=1.0,
             wavevectors=np.array([math.sqrt(energy - math.pi**2)]),
         )
-        rmat = r_matrix(table, space)
-        return rmat.regular[0, 0] + rmat.residue[0] ** 2 / rmat.gap
+        return lead_channel_r(r_matrix(table, space))[0, 0]
 
     assert scalar_r(pole - delta) < 0
     assert scalar_r(pole + delta) > 0
@@ -206,9 +218,9 @@ def test_r_matrix_of_a_stack_equals_each_energy():
     w = table.lead_width
     energies = (np.array([4.2, 4.5, 4.9]) * math.pi / w) ** 2
     stack = r_matrix(table, channel_space(energies, w))
-    assert stack.regular.shape == (3, 8, 8) and stack.gap.shape == (3,)
+    assert stack.regular.shape == (3, 2, 4, 4) and stack.gap.shape == (3, 2)
     for i, energy in enumerate(energies):
         one = r_matrix(table, channel_space(float(energy), w))
         assert np.array_equal(stack.regular[i], one.regular)
         assert np.array_equal(stack.residue[i], one.residue)
-        assert stack.gap[i] == one.gap
+        assert np.array_equal(stack.gap[i], one.gap)

@@ -1,5 +1,6 @@
 """S-matrix construction, guide staircase, sweeps, and output formats."""
 
+import dataclasses
 import io
 import logging
 import math
@@ -379,7 +380,7 @@ def test_grouped_sweep_equals_single_point_evaluation(guide_solution):
         rmat = r_matrix(table, space)
         smat = s_from_r(rmat, space)
         n = space.n_open
-        gaps.append(rmat.gap)
+        gaps.append(np.min(np.abs(rmat.gap)))  # the nearer of the two blocks' gaps
         assert result.n_open[i] == n
         assert result.transmission[i] == conductance(smat), grid[i]
         assert result.unitarity_defect[i] == unitarity_defect(smat), grid[i]
@@ -387,6 +388,69 @@ def test_grouped_sweep_equals_single_point_evaluation(guide_solution):
     assert 0.0 in gaps  # the exact cavity level
     assert result.n_open.tolist() == [2, 0, 1, 2, int(on_level), 1, 2, 1, 1, 2, 0]
     assert np.array_equal(result.t_blocks[0], result.t_blocks[9])
+
+
+def test_opposite_parity_levels_each_split_off(guide_solution):
+    # Levels 99 (odd) and 100 (even) lie 9.1e-13 apart. Each parity block
+    # splits off its own nearest level, so neither pole is left in the
+    # regular part and T on either level matches T just beside it.
+    table = overlaps(guide_solution)
+    left, right = guide_solution.interface_values()
+    levels = guide_solution.energies
+    assert 0.0 < levels[100] - levels[99] < 1e-12
+    assert np.array_equal(right[99], -left[99]) and np.array_equal(right[100], left[100])
+    for level in levels[99:101]:
+        spaces = [channel_space(level * f, table.lead_width) for f in (1.0, 1 - 1e-9, 1 + 1e-9)]
+        t_at, *near = [conductance(s_from_r(r_matrix(table, space), space)) for space in spaces]
+        assert max(abs(t - t_at) for t in near) < 1e-6, level
+
+
+@pytest.fixture(scope="module")
+def mirror_solution():
+    return solve_cavity(make_reference_cavity(samples=1024), BasisSpec(30, 16), 200)
+
+
+def brute_force_smatrix(table, energy):
+    """S at `energy` from the pole sum over every level in the lead channels
+    (left, then right) and a dense solve of the Cayley form."""
+    space = channel_space(energy, table.lead_width)
+    n = space.n_open
+    phi = np.hstack([table.left[:, :n], table.right[:, :n]])
+    rmat = phi.T @ (phi / (energy - table.energies)[:, None])
+    sk = np.sqrt(np.concatenate([space.wavevectors, space.wavevectors]))
+    scaled = 1j * sk[:, None] * rmat * sk[None, :]
+    eye = np.eye(2 * n)
+    return np.linalg.solve(scaled + eye, scaled - eye)
+
+
+def test_sweep_matches_a_brute_force_smatrix(mirror_solution):
+    table = overlaps(mirror_solution)
+    assert table.blocks[0].shape[0] == 2  # mirror-symmetric: even and odd blocks
+    grid = np.linspace(1.13, 6.87, 41)
+    result = sweep_conductance(mirror_solution, grid)
+    energies = (grid * math.pi / table.lead_width) ** 2
+    off_levels = np.min(np.abs(energies[:, None] - table.energies), axis=1) > 1e-6 * energies
+    assert np.count_nonzero(off_levels) > 35
+    for i in np.flatnonzero(off_levels):
+        smat = brute_force_smatrix(table, energies[i])
+        n = result.n_open[i]
+        assert abs(result.transmission[i] - conductance(smat)) < 1e-10, grid[i]
+        assert np.max(np.abs(result.t_blocks[i] - smat[n:, :n])) < 1e-10, grid[i]
+
+
+def test_a_broken_mirror_takes_the_one_block_layout(mirror_solution):
+    interface = mirror_solution.interface.copy()
+    interface[1, 7] *= 1.0 + 1e-12  # one level's right row
+    broken = dataclasses.replace(mirror_solution, interface=interface)
+    levels, sides = overlaps(broken).blocks
+    assert levels.shape == (200,) and len(sides) == 2  # (left, right)
+    space = channel_space(float(mirror_solution.energies[30]) + 0.1, mirror_solution.profile.lead_width)
+    assert r_matrix(overlaps(broken), space).regular.shape == (2 * space.n_open,) * 2
+    grid = np.linspace(1.13, 6.87, 41)
+    one = sweep_conductance(broken, grid)
+    two = sweep_conductance(mirror_solution, grid)
+    assert np.array_equal(one.n_open, two.n_open)
+    assert np.max(np.abs(one.transmission - two.transmission)) < 1e-10
 
 
 def test_sweep_point_does_not_depend_on_the_grid_past_a_slice(guide_solution):
